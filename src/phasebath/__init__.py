@@ -15,10 +15,8 @@ from .core import (
     u_series,
 )
 from .descriptors import (
-    DeltaP,
+    GaussianP,
     GaussianPolyP,
-    GaussianUSeriesP,
-    HermiteDeltaSeriesP,
     LaplacianDeltaP,
     SampledGridP,
     evaluate_p,

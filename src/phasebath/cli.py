@@ -24,8 +24,7 @@ from .lindblad import LindbladSettings, integrate, moments_from_rho
 from .quasiprob import PhaseSpaceGrid, p_to_q_grid, wigner_from_characteristic
 from .states import (
     FAMILIES,
-    FAMILY_CONSTRAINTS,
-    FAMILY_PARAMETERS,
+    FAMILY_TABLE,
     StateSpec,
     default_cutoff,
     fock_density,
@@ -34,16 +33,6 @@ from .states import (
 )
 
 ARTIFACTS = ("p-grid", "q-grid", "w-grid", "moments", "mandel-q", "variances", "oracle-compare")
-
-_EXAMPLE_FIELDS = {
-    "coherent": {"family": "coherent", "beta_re": 1.0, "beta_im": 0.5},
-    "thermal": {"family": "thermal", "mbar": 1.0},
-    "displaced-thermal": {"family": "displaced-thermal", "beta_re": 1.0, "beta_im": 0.0, "mbar": 0.5},
-    "photon-added-thermal": {"family": "photon-added-thermal", "mbar": 1.0},
-    "photon-added-coherent": {"family": "photon-added-coherent", "beta_re": 1.0, "beta_im": 0.5},
-    "squeezed-coherent": {"family": "squeezed-coherent", "beta_re": 1.0, "beta_im": 0.0, "squeeze": 2.0},
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class GridSpec:
@@ -171,11 +160,12 @@ def run(config: RunConfig) -> int:
     axis = config.grid.axis()
     m0 = initial_moments(config.state)
 
+    needs_p = any(a in config.outputs for a in ("p-grid", "q-grid"))
     needs_rho = any(a in config.outputs for a in ("w-grid", "oracle-compare"))
     rhos = None
     trace_deficits: list[float] = []
     if needs_rho:
-        cutoff = config.oracle_cutoff or default_cutoff(config.state)
+        cutoff = config.oracle_cutoff or default_cutoff(config.state, config.bath.nbar)
         settings = LindbladSettings(cutoff, config.oracle_step, config.bath)
         rho0 = fock_density(config.state, cutoff)
         trace_deficits.append(rho0.trace_deficit)
@@ -189,22 +179,22 @@ def run(config: RunConfig) -> int:
     compare_rows: list[dict] = []
     worst_dev = 0.0
     for idx, t in enumerate(config.times):
-        ev = evolve_p_closed_form(config.state, config.bath, t)
+        form = evolve_p_closed_form(config.state, config.bath, t).form if needs_p else None
         mt = evolved_moments(m0, config.bath, t)
         for artifact in config.outputs:
             name = f"{artifact}-{idx:03d}.{ext}"
             path = out_dir / name
             if artifact == "p-grid":
-                if not is_regular(ev.form):
+                if not is_regular(form):
                     raise ValueError(
                         f"state {config.state.family!r} at t={t} has a singular "
                         "distribution (delta-like); p-grid is not representable "
                         "on a sample grid"
                     )
-                values = evaluate_p(ev.form, axis[:, None], axis[None, :])
+                values = evaluate_p(form, axis[:, None], axis[None, :])
                 _write_grid(path, PhaseSpaceGrid(axis, axis, values, {"quantity": "P"}), ext)
             elif artifact == "q-grid":
-                _write_grid(path, p_to_q_grid(ev.form, axis, axis), ext)
+                _write_grid(path, p_to_q_grid(form, axis, axis), ext)
             elif artifact == "w-grid":
                 template = PhaseSpaceGrid(axis, axis, np.zeros((axis.size, axis.size)), {})
                 _write_grid(path, wigner_from_characteristic(rhos[idx], template), ext)
@@ -261,11 +251,11 @@ def state_catalog() -> list[dict]:
     return [
         {
             "family": name,
-            "parameters": list(FAMILY_PARAMETERS[name]),
-            "constraints": FAMILY_CONSTRAINTS[name],
-            "example": dict(_EXAMPLE_FIELDS[name]),
+            "parameters": list(entry.parameters),
+            "constraints": entry.constraints,
+            "example": {"family": name, **entry.example},
         }
-        for name in FAMILIES
+        for name, entry in FAMILY_TABLE.items()
     ]
 
 
@@ -398,7 +388,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
+        # RuntimeError covers the numerical guards: oracle trace drift, Wigner
+        # norm mismatch, and non-converged quadrature.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

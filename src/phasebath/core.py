@@ -1,7 +1,9 @@
-"""Bath parameters, their time scaling, and the special-function kernel.
+"""Bath parameters, their time scaling, and a special-function reference.
 
 Everything here is a pure function on immutable values; amplitudes are
 plain Python complex numbers (natural units, vacuum quadrature variance 1/4).
+The Tricomi-U polynomials and their series are not used to evolve states;
+they are kept as an independent reference for the Gaussian closed form.
 """
 
 from __future__ import annotations
@@ -105,7 +107,9 @@ def tricomi_u_half(n: int, x):
 def u_series(gain: float, x, order: int) -> np.ndarray:
     """sum_{k=0}^{order} gain^k / k! * U(-k, 1/2, x).
 
-    Equals sum (-gain)^k L_k^{(-1/2)}(x); converges (order -> inf) iff |gain| < 1.
+    Equals sum (-gain)^k L_k^{(-1/2)}(x); converges (order -> inf) iff
+    |gain| < 1, to the closed sum (1 + gain)^{-1/2} e^{gain x/(1 + gain)}
+    (DLMF 18.12.13): the Gaussian factor of the evolved squeezed P.
     """
     lag = _laguerre_half_all(order, np.asarray(x, dtype=float))
     powers = (-_WORK_DTYPE(gain)) ** np.arange(order + 1, dtype=_WORK_DTYPE)

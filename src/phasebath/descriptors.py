@@ -2,19 +2,17 @@
 
 A descriptor is one of:
 
-* ``DeltaP`` -- point mass (coherent state).
+* ``GaussianP`` -- Gaussian with signed per-axis widths (the coherent,
+  thermal, displaced-thermal and squeezed-coherent forms at every time).
 * ``GaussianPolyP`` -- polynomial-times-Gaussian, polynomial in coordinates
-  centred on the Gaussian.
-* ``GaussianUSeriesP`` -- Gaussian times a separable truncated Tricomi-U
-  series (the evolved squeezed-coherent form).
-* ``HermiteDeltaSeriesP`` -- separable series of even delta derivatives
-  (the initial squeezed-coherent form).
+  centred on the Gaussian (the evolved photon-added forms).
 * ``LaplacianDeltaP`` -- exponentially weighted mixed second derivative of a
   delta (the initial photon-added-coherent form).
 * ``SampledGridP`` -- values tabulated on a uniform rectangular grid.
 
-The first three are ordinary functions and can be evaluated pointwise; the
-delta-derivative kinds are distributions and only enter integrals analytically.
+Regular descriptors are ordinary functions and can be evaluated pointwise.
+A ``GaussianP`` with a width <= 0 and a ``LaplacianDeltaP`` are distributions
+and only enter integrals analytically.
 """
 
 from __future__ import annotations
@@ -26,13 +24,11 @@ from typing import ClassVar
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .core import check_amplitude, u_series
+from .core import check_amplitude
 
 __all__ = [
-    "DeltaP",
+    "GaussianP",
     "GaussianPolyP",
-    "GaussianUSeriesP",
-    "HermiteDeltaSeriesP",
     "LaplacianDeltaP",
     "SampledGridP",
     "evaluate_p",
@@ -51,15 +47,67 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def checked_grid(x_axis, y_axis, values):
+    """Read-only float copies of a uniform rectangular grid, after validation."""
+    x, y, v = (_frozen_array(a) for a in (x_axis, y_axis, values))
+    for axis in (x, y):
+        steps = np.diff(axis)
+        if axis.ndim != 1 or axis.size < 2 or np.any(steps <= 0):
+            raise ValueError("axes must be strictly increasing 1-D arrays")
+        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
+            raise ValueError("axes must be uniformly spaced")
+    if v.shape != (x.size, y.size):
+        raise ValueError("values shape must be (len(x_axis), len(y_axis))")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("grid values must be finite")
+    return x, y, v
+
+
+def gaussian_density(u, v, width_x: float, width_y: float) -> np.ndarray:
+    """exp(-u^2/width_x - v^2/width_y) / (pi sqrt(width_x width_y)), unit mass.
+
+    Written so that equal widths give exp(-(u^2 + v^2)/w) / (pi w) exactly.
+    """
+    ratio = width_x / width_y
+    return np.exp(-(u * u + v * v * ratio) / width_x) * (
+        1.0 / (math.pi * math.sqrt(width_x * width_y))
+    )
+
+
 @dataclass(frozen=True)
-class DeltaP:
-    """Point mass at ``center``."""
+class GaussianP:
+    """P(alpha) proportional to exp(-u^2/width_x - v^2/width_y), u + iv = alpha - center.
+
+    The per-axis widths are signed.  A zero width is a point mass along that
+    axis, and a negative width is a singular distribution whose Q, the
+    Gaussian of widths width + 1, is still regular.  The quadrature
+    variances are 1/4 + width/2, so each width must exceed -1/2.
+    """
 
     center: complex
-    kind: ClassVar[str] = "delta"
+    width_x: float
+    width_y: float
+    kind: ClassVar[str] = "gaussian"
 
     def __post_init__(self):
         object.__setattr__(self, "center", check_amplitude(self.center))
+        for name in ("width_x", "width_y"):
+            width = float(getattr(self, name))
+            if not (math.isfinite(width) and width > -0.5):
+                raise ValueError(f"{name} must be finite and exceed -1/2, got {width}")
+            object.__setattr__(self, name, width)
+
+    @property
+    def width(self) -> float:
+        """The larger per-axis width, which sizes quadrature boxes."""
+        return max(self.width_x, self.width_y)
+
+    def convolved(self, decay_factor: float, nbar_t: float) -> "GaussianP":
+        """Image under the bath kernel: centre eta c, each width eta^2 w + nbar_t."""
+        eta2 = decay_factor * decay_factor
+        return GaussianP(
+            self.center * decay_factor, self.width_x * eta2 + nbar_t, self.width_y * eta2 + nbar_t
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,57 +132,6 @@ class GaussianPolyP:
         mass = integral_p(self)
         if abs(mass - 1.0) > _NORMALIZATION_TOL:
             raise ValueError(f"descriptor integrates to {mass!r}, expected 1")
-
-
-@dataclass(frozen=True)
-class GaussianUSeriesP:
-    """Gaussian times separable truncated U-series.
-
-    P(alpha) = (1/(pi width)) S(gain_r, u^2/width) S(gain_i, v^2/width)
-               exp(-(u^2+v^2)/width)
-    with S(g, x) = sum_{k<=order} g^k/k! U(-k, 1/2, x).  Every k >= 1 term
-    integrates to zero, so the total mass is exactly 1 at any truncation.
-    """
-
-    center: complex
-    width: float
-    gain_r: float
-    gain_i: float
-    order: int
-    kind: ClassVar[str] = "gaussian-polynomial"
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", check_amplitude(self.center))
-        if not (math.isfinite(self.width) and self.width > 0):
-            raise ValueError(f"width must be positive, got {self.width}")
-        if self.order < 0:
-            raise ValueError("truncation order must be >= 0")
-
-    @property
-    def tail_ratio(self) -> float:
-        """Convergence handle: geometric ratio of successive series terms."""
-        return max(abs(self.gain_r), abs(self.gain_i))
-
-
-@dataclass(frozen=True)
-class HermiteDeltaSeriesP:
-    """Separable even-derivative delta series.
-
-    P(alpha) = [sum_n coef_r^n/n! d^{2n}/du^{2n} delta(u)]
-               [sum_m coef_i^m/m! d^{2m}/dv^{2m} delta(v)],
-    truncated at ``order`` in each factor.
-    """
-
-    center: complex
-    coef_r: float
-    coef_i: float
-    order: int
-    kind: ClassVar[str] = "delta-derivative-series"
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", check_amplitude(self.center))
-        if self.order < 0:
-            raise ValueError("truncation order must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -168,23 +165,16 @@ class SampledGridP:
     kind: ClassVar[str] = "sampled-grid"
 
     def __post_init__(self):
-        for name in ("x_axis", "y_axis", "values"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-        for axis in (self.x_axis, self.y_axis):
-            steps = np.diff(axis)
-            if axis.ndim != 1 or axis.size < 2 or np.any(steps <= 0):
-                raise ValueError("axes must be strictly increasing 1-D arrays")
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-                raise ValueError("axes must be uniformly spaced")
-        if self.values.shape != (self.x_axis.size, self.y_axis.size):
-            raise ValueError("values shape must be (len(x_axis), len(y_axis))")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid values must be finite")
+        arrays = checked_grid(self.x_axis, self.y_axis, self.values)
+        for name, arr in zip(("x_axis", "y_axis", "values"), arrays):
+            object.__setattr__(self, name, arr)
 
 
 def is_regular(desc) -> bool:
     """True if the descriptor is an ordinary function of alpha."""
-    return isinstance(desc, (GaussianPolyP, GaussianUSeriesP, SampledGridP))
+    if isinstance(desc, GaussianP):
+        return min(desc.width_x, desc.width_y) > 0.0
+    return isinstance(desc, (GaussianPolyP, SampledGridP))
 
 
 def evaluate_p(desc, x, y) -> np.ndarray:
@@ -194,13 +184,9 @@ def evaluate_p(desc, x, y) -> np.ndarray:
     if isinstance(desc, GaussianPolyP):
         u, v = np.broadcast_arrays(x - desc.center.real, y - desc.center.imag)
         return npoly.polyval2d(u, v, desc.coeffs) * np.exp(-(u * u + v * v) / desc.width)
-    if isinstance(desc, GaussianUSeriesP):
-        u = x - desc.center.real
-        v = y - desc.center.imag
-        sr = u_series(desc.gain_r, u * u / desc.width, desc.order)
-        si = u_series(desc.gain_i, v * v / desc.width, desc.order)
-        gauss = np.exp(-(u * u + v * v) / desc.width)
-        return sr * si * gauss / (math.pi * desc.width)
+    if isinstance(desc, GaussianP) and is_regular(desc):
+        u, v = x - desc.center.real, y - desc.center.imag
+        return gaussian_density(u, v, desc.width_x, desc.width_y)
     if isinstance(desc, SampledGridP):
         from scipy.interpolate import RegularGridInterpolator
 
@@ -227,11 +213,8 @@ def integral_p(desc) -> float:
         gi = _gaussian_1d_moments(desc.width, ni - 1)
         gj = _gaussian_1d_moments(desc.width, nj - 1)
         return float(gi @ desc.coeffs @ gj)
-    if isinstance(desc, (DeltaP, GaussianUSeriesP, HermiteDeltaSeriesP)):
-        # Delta derivatives and k >= 1 series terms integrate to zero.
-        return 1.0
-    if isinstance(desc, LaplacianDeltaP):
-        # Normalized state; argument rescaling preserves the mass by construction.
+    if isinstance(desc, (GaussianP, LaplacianDeltaP)):
+        # Normalized by construction; argument rescaling preserves the mass.
         return 1.0
     if isinstance(desc, SampledGridP):
         return float(np.trapezoid(np.trapezoid(desc.values, desc.y_axis, axis=1), desc.x_axis))
@@ -249,23 +232,14 @@ def rescale_zero_temperature(desc, decay_factor: float):
         raise ValueError(f"decay_factor must lie in (0, 1], got {decay_factor}")
     if eta == 1.0:
         return desc
-    if isinstance(desc, DeltaP):
-        return DeltaP(desc.center * eta)
+    if isinstance(desc, GaussianP):
+        return desc.convolved(eta, 0.0)
     if isinstance(desc, GaussianPolyP):
         ni, nj = desc.coeffs.shape
         scale = np.array(
             [[eta ** (-(i + j + 2)) for j in range(nj)] for i in range(ni)]
         )
         return GaussianPolyP(desc.center * eta, desc.width * eta * eta, desc.coeffs * scale)
-    if isinstance(desc, GaussianUSeriesP):
-        return replace(desc, center=desc.center * eta, width=desc.width * eta * eta)
-    if isinstance(desc, HermiteDeltaSeriesP):
-        return replace(
-            desc,
-            center=desc.center * eta,
-            coef_r=desc.coef_r * eta * eta,
-            coef_i=desc.coef_i * eta * eta,
-        )
     if isinstance(desc, LaplacianDeltaP):
         return replace(desc, arg_scale=desc.arg_scale / eta, weight=desc.weight / (eta * eta))
     if isinstance(desc, SampledGridP):
@@ -283,7 +257,7 @@ def fock_populations(desc, cutoff: int, nodes: int = 240) -> np.ndarray:
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     ks = np.arange(cutoff)
-    if isinstance(desc, DeltaP):
+    if isinstance(desc, GaussianP) and desc.width_x == desc.width_y == 0.0:
         nsq = abs(desc.center) ** 2
         if nsq == 0.0:
             out = np.zeros(cutoff)

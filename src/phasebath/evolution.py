@@ -5,33 +5,33 @@ A damped mode in a bath (gamma, nbar) maps an initial weight function P0 to
     P_t(alpha) = (1/(pi nbar_t)) integral P0(beta) exp(-|alpha - beta eta|^2 / nbar_t) d2beta
 
 with eta = e^{-gamma t} and nbar_t = nbar (1 - eta^2).  Every catalog family
-admits a closed-form image of this convolution; ``convolve_p_numeric`` computes
-the same integral by quadrature (or by analytic differentiation of the kernel
-for singular inputs) as an independent cross-check.  At nbar = 0 the kernel
+admits a closed-form image of this convolution: a Gaussian keeps its form,
+with the centre contracted by eta and each width w mapped to eta^2 w + nbar_t,
+and the photon-added families keep a polynomial-times-Gaussian form.
+``convolve_p_numeric`` computes the same integral by quadrature (or by
+analytic differentiation of the kernel for a point mass or the photon-added
+coherent input) as an independent cross-check.  At nbar = 0 the kernel
 degenerates to a point mass and the evolution reduces to argument rescaling.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import hermite as nherm
 
 from .core import BathParams, ScaledBathParams, scale_bath
 from .descriptors import (
-    DeltaP,
+    GaussianP,
     GaussianPolyP,
-    GaussianUSeriesP,
-    HermiteDeltaSeriesP,
     LaplacianDeltaP,
     SampledGridP,
     evaluate_p,
+    is_regular,
     rescale_zero_temperature,
 )
-from .quadrature import QuadratureError, adaptive_gauss_legendre_1d
+from .quadrature import adaptive_gauss_legendre_1d
 from .quasiprob import PhaseSpaceGrid
 from .states import MomentSet, StateSpec, initial_p_function
 
@@ -78,14 +78,8 @@ def evolve_p_closed_form(spec: StateSpec, bath: BathParams, t: float) -> Evolved
     nt = scaled.nbar_t
     eta2 = eta * eta
     f = spec.family
-    if f in ("coherent", "thermal", "displaced-thermal"):
-        # Gaussian (or point) input convolved with the Gaussian kernel: widths add.
-        if f == "coherent":
-            width = nt
-        else:
-            width = spec.mbar * eta2 + nt
-        center = spec.beta * eta if f != "thermal" else 0j
-        form = GaussianPolyP(center, width, [[1.0 / (math.pi * width)]])
+    if isinstance(p0, GaussianP):
+        form = p0.convolved(eta, nt)
     elif f == "photon-added-thermal":
         m = spec.mbar
         width = m * eta2 + nt
@@ -108,22 +102,6 @@ def evolve_p_closed_form(spec: StateSpec, bath: BathParams, t: float) -> Evolved
         coeffs[2, 0] = pref * amp * amp
         coeffs[0, 2] = pref * amp * amp
         form = GaussianPolyP(b * eta, nt, coeffs)
-    elif f == "squeezed-coherent":
-        s = spec.squeeze
-        form = GaussianUSeriesP(
-            center=spec.beta * eta,
-            width=nt,
-            gain_r=4.0 * ((1.0 - s) / (8.0 * s)) * eta2 / nt,
-            gain_i=4.0 * ((s - 1.0) / 8.0) * eta2 / nt,
-            order=p0.order,
-        )
-        if form.tail_ratio >= 1.0:
-            warnings.warn(
-                f"derivative series does not converge (term ratio {form.tail_ratio:.3g} >= 1); "
-                "evolve further in time or reduce the squeeze strength",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     else:
         raise ValueError(f"family {f!r} has no closed-form evolution entry")
     return EvolvedPFunction(spec, scaled, form)
@@ -177,8 +155,11 @@ def convolve_p_numeric(
 
     Regular inputs are integrated by adaptive tensor Gauss-Legendre quadrature
     (the kernel is separable, so the two axes factor into matrix products).
-    Delta-derivative inputs are resolved by differentiating the Gaussian kernel
-    analytically; a point mass samples the kernel exactly.
+    The photon-added coherent delta derivative is resolved by differentiating
+    the Gaussian kernel analytically; a point mass samples the kernel exactly.
+    Other singular inputs, such as a Gaussian with a negative width, are
+    rejected; by the semigroup law their regular image at a later time can
+    be convolved instead.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be positive, got {t}")
@@ -191,16 +172,11 @@ def convolve_p_numeric(
     y = np.asarray(grid.y_axis)
     meta = dict(grid.meta)
 
-    if isinstance(p0, DeltaP):
+    if isinstance(p0, GaussianP) and p0.width_x == p0.width_y == 0.0:
         u = x[:, None] - eta * p0.center.real
         v = y[None, :] - eta * p0.center.imag
         values = np.exp(-(u * u + v * v) / nt) / (math.pi * nt)
         meta.update(quantity="P", time=t, method="kernel")
-        return PhaseSpaceGrid(x, y, values, meta)
-
-    if isinstance(p0, HermiteDeltaSeriesP):
-        values = _convolve_hermite_series(p0, eta, nt, x, y)
-        meta.update(quantity="P", time=t, method="kernel-derivatives")
         return PhaseSpaceGrid(x, y, values, meta)
 
     if isinstance(p0, LaplacianDeltaP):
@@ -208,35 +184,12 @@ def convolve_p_numeric(
         meta.update(quantity="P", time=t, method="kernel-derivatives")
         return PhaseSpaceGrid(x, y, values, meta)
 
-    if isinstance(p0, (GaussianPolyP, GaussianUSeriesP, SampledGridP)):
+    if is_regular(p0):
         values, err = _convolve_regular(p0, eta, nt, x, y, tol)
         meta.update(quantity="P", time=t, method="quadrature", quadrature_error=err)
         return PhaseSpaceGrid(x, y, values, meta)
 
-    raise TypeError(f"unsupported input descriptor {type(p0).__name__}")
-
-
-def _convolve_hermite_series(p0: HermiteDeltaSeriesP, eta, nt, x, y) -> np.ndarray:
-    """Even delta derivatives against the kernel via Hermite polynomials.
-
-    d^{2n}/db^{2n} exp(-(x - eta b)^2/nt) evaluated at the series centre is
-    (eta^2/nt)^n H_2n((x - eta b)/sqrt(nt)) exp(-...), so each axis sums to a
-    Hermite series, evaluated here with numpy's Clenshaw recurrence.
-    """
-    root = math.sqrt(nt)
-    gain = eta * eta / nt
-
-    def axis_sum(coef: float, z: np.ndarray) -> np.ndarray:
-        cs = np.zeros(2 * p0.order + 1)
-        term = 1.0
-        for n in range(p0.order + 1):
-            cs[2 * n] = term
-            term *= coef * gain / (n + 1.0)
-        return nherm.hermval(z, cs) * np.exp(-z * z)
-
-    zr = (x - eta * p0.center.real) / root
-    zi = (y - eta * p0.center.imag) / root
-    return np.outer(axis_sum(p0.coef_r, zr), axis_sum(p0.coef_i, zi)) / (math.pi * nt)
+    raise TypeError(f"cannot convolve a singular descriptor of kind {p0.kind!r}")
 
 
 def _convolve_laplacian_delta(p0: LaplacianDeltaP, eta, nt, x, y) -> np.ndarray:
@@ -264,7 +217,7 @@ def _convolve_regular(p0, eta, nt, x, y, tol):
     else:
         reach = abs(p0.center) + 8.0 * math.sqrt(p0.width)
         box_x = box_y = (-reach, reach)
-        start = 96 if isinstance(p0, GaussianPolyP) else 128
+        start = 96
 
     root = math.sqrt(nt)
 

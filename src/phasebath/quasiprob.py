@@ -17,16 +17,16 @@ import numpy as np
 
 from .core import check_amplitude
 from .descriptors import (
-    DeltaP,
+    GaussianP,
     GaussianPolyP,
-    GaussianUSeriesP,
-    HermiteDeltaSeriesP,
     LaplacianDeltaP,
     SampledGridP,
+    checked_grid,
     evaluate_p,
+    gaussian_density,
 )
 from .fock import FockDensityMatrix
-from .quadrature import adaptive_gauss_legendre_1d, gauss_legendre_nodes
+from .quadrature import gauss_legendre_nodes
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -52,20 +52,9 @@ class PhaseSpaceGrid:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("x_axis", "y_axis", "values"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
+        arrays = checked_grid(self.x_axis, self.y_axis, self.values)
+        for name, arr in zip(("x_axis", "y_axis", "values"), arrays):
             object.__setattr__(self, name, arr)
-        for axis in (self.x_axis, self.y_axis):
-            steps = np.diff(axis)
-            if axis.ndim != 1 or axis.size < 2 or np.any(steps <= 0):
-                raise ValueError("axes must be strictly increasing 1-D arrays")
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-                raise ValueError("axes must be uniformly spaced")
-        if self.values.shape != (self.x_axis.size, self.y_axis.size):
-            raise ValueError("values shape must be (len(x_axis), len(y_axis))")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid values must be finite")
 
     def mass(self) -> float:
         """Trapezoid integral of the field over the grid."""
@@ -141,13 +130,14 @@ def _gauss_smooth_axis_poly(x: np.ndarray, width: float, kmax: int) -> np.ndarra
     return moments * envelope
 
 
-def _q_values(p, X: np.ndarray, Y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _q_values(p, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Q(alpha) = (1/pi) integral P(beta) e^{-|alpha-beta|^2} d2beta."""
     if isinstance(p, PhaseSpaceGrid):
         p = SampledGridP(p.x_axis, p.y_axis, p.values)
-    if isinstance(p, DeltaP):
-        d2 = (X - p.center.real) ** 2 + (Y - p.center.imag) ** 2
-        return np.exp(-d2) / math.pi
+    if isinstance(p, GaussianP):
+        # The unit-width smoothing kernel adds 1 to each signed P width.
+        u, v = X - p.center.real, Y - p.center.imag
+        return gaussian_density(u, v, p.width_x + 1.0, p.width_y + 1.0)
     if isinstance(p, GaussianPolyP):
         ni, nj = p.coeffs.shape
         ix = _gauss_smooth_axis_poly(X - p.center.real, p.width, ni - 1)
@@ -158,18 +148,6 @@ def _q_values(p, X: np.ndarray, Y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
                 if p.coeffs[i, j] != 0.0:
                     acc = acc + p.coeffs[i, j] * ix[i] * iy[j]
         return acc / math.pi
-    if isinstance(p, GaussianUSeriesP):
-        qx = _smooth_u_series_axis(p, X - p.center.real, p.gain_r, tol)
-        qy = _smooth_u_series_axis(p, Y - p.center.imag, p.gain_i, tol)
-        return qx * qy / (math.pi * math.pi * p.width)
-    if isinstance(p, HermiteDeltaSeriesP):
-        zx = np.asarray(X, dtype=float) - p.center.real
-        zy = np.asarray(Y, dtype=float) - p.center.imag
-        return (
-            _hermite_smoothed_axis(p.coef_r, p.order, zx)
-            * _hermite_smoothed_axis(p.coef_i, p.order, zy)
-            / math.pi
-        )
     if isinstance(p, LaplacianDeltaP):
         if p.arg_scale != 1.0 or p.weight != 1.0:
             raise ValueError("only the canonical (unscaled) descriptor is supported")
@@ -185,38 +163,6 @@ def _q_values(p, X: np.ndarray, Y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         out = kx @ pv @ ky.T / math.pi
         return out.reshape(np.broadcast(X, Y).shape) if np.ndim(X) else out[0, 0]
     raise TypeError(f"unsupported input {type(p).__name__}")
-
-
-def _hermite_smoothed_axis(coef: float, order: int, z: np.ndarray) -> np.ndarray:
-    """sum_n coef^n/n! d^{2n}/dc^{2n} e^{-(z)^2} = Hermite series times Gaussian."""
-    from numpy.polynomial import hermite as nherm
-
-    cs = np.zeros(2 * order + 1)
-    term = 1.0
-    for n in range(order + 1):
-        cs[2 * n] = term
-        term *= coef / (n + 1.0)
-    return nherm.hermval(z, cs) * np.exp(-z * z)
-
-
-def _smooth_u_series_axis(p: GaussianUSeriesP, x: np.ndarray, gain: float, tol: float):
-    """integral S(gain, u^2/w) e^{-u^2/w} e^{-(x-u)^2} du by adaptive quadrature."""
-    from .core import u_series
-
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    reach = float(np.max(np.abs(flat))) + 8.0 * max(1.0, math.sqrt(p.width))
-    n = max(128, 4 * p.order)
-    prev = None
-    while n <= 4096:
-        us, wu = gauss_legendre_nodes(-reach, reach, n)
-        series = u_series(gain, us * us / p.width, p.order) * np.exp(-us * us / p.width) * wu
-        cur = np.exp(-((flat[:, None] - us[None, :]) ** 2)) @ series
-        if prev is not None and float(np.max(np.abs(cur - prev))) < tol:
-            return cur.reshape(x.shape)
-        prev = cur
-        n *= 2
-    return prev.reshape(x.shape)
 
 
 def p_to_q_smoothing(p, alpha) -> float:

@@ -1,7 +1,9 @@
 """Catalog of initial field states in three synchronized representations.
 
 Each catalog family provides a symbolic phase-space descriptor, a truncated
-number-basis density matrix, and closed-form initial moments.  The families:
+number-basis density matrix, and closed-form initial moments.  Coherent,
+thermal, displaced-thermal and squeezed-coherent states share one descriptor,
+a Gaussian with signed per-axis widths.  The families:
 
 * ``coherent(beta)``
 * ``thermal(mbar)``
@@ -12,7 +14,8 @@ number-basis density matrix, and closed-form initial moments.  The families:
 
 The squeeze parameter is the quadrature variance ratio: var X = 1/(4 s),
 var Y = s/4, so s > 1 squeezes the real quadrature.  In terms of the squeeze
-operator exp[(r/2)(a^2 - a^dag^2)] this is s = e^{2r}.
+operator exp[(r/2)(a^2 - a^dag^2)] this is s = e^{2r}, and the P widths
+are (1 - s)/(2 s) along the real axis and (s - 1)/2 along the imaginary one.
 """
 
 from __future__ import annotations
@@ -23,12 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_amplitude
-from .descriptors import (
-    DeltaP,
-    GaussianPolyP,
-    HermiteDeltaSeriesP,
-    LaplacianDeltaP,
-)
+from .descriptors import GaussianP, GaussianPolyP, LaplacianDeltaP
 from .fock import (
     FockDensityMatrix,
     annihilation,
@@ -40,6 +38,8 @@ from .fock import (
 
 __all__ = [
     "FAMILIES",
+    "FAMILY_TABLE",
+    "FamilyEntry",
     "MomentSet",
     "StateSpec",
     "default_cutoff",
@@ -49,35 +49,32 @@ __all__ = [
     "parse_state_spec",
 ]
 
-FAMILIES = (
-    "coherent",
-    "thermal",
-    "displaced-thermal",
-    "photon-added-thermal",
-    "photon-added-coherent",
-    "squeezed-coherent",
-)
 
-#: which numeric parameters each family consumes
-FAMILY_PARAMETERS = {
-    "coherent": ("beta",),
-    "thermal": ("mbar",),
-    "displaced-thermal": ("beta", "mbar"),
-    "photon-added-thermal": ("mbar",),
-    "photon-added-coherent": ("beta",),
-    "squeezed-coherent": ("beta", "squeeze"),
+@dataclass(frozen=True)
+class FamilyEntry:
+    """How one family is listed: the parameters it reads, their constraints, an example."""
+
+    parameters: tuple[str, ...]
+    constraints: str
+    example: dict
+
+
+FAMILY_TABLE = {
+    "coherent": FamilyEntry(("beta",), "beta finite", {"beta_re": 1.0, "beta_im": 0.5}),
+    "thermal": FamilyEntry(("mbar",), "mbar >= 0", {"mbar": 1.0}),
+    "displaced-thermal": FamilyEntry(
+        ("beta", "mbar"), "beta finite, mbar >= 0", {"beta_re": 1.0, "beta_im": 0.0, "mbar": 0.5}
+    ),
+    "photon-added-thermal": FamilyEntry(("mbar",), "mbar > 0", {"mbar": 1.0}),
+    "photon-added-coherent": FamilyEntry(("beta",), "beta finite", {"beta_re": 1.0, "beta_im": 0.5}),
+    "squeezed-coherent": FamilyEntry(
+        ("beta", "squeeze"),
+        "beta finite, squeeze > 0",
+        {"beta_re": 1.0, "beta_im": 0.0, "squeeze": 2.0},
+    ),
 }
 
-FAMILY_CONSTRAINTS = {
-    "coherent": "beta finite",
-    "thermal": "mbar >= 0",
-    "displaced-thermal": "beta finite, mbar >= 0",
-    "photon-added-thermal": "mbar > 0",
-    "photon-added-coherent": "beta finite",
-    "squeezed-coherent": "beta finite, squeeze > 0",
-}
-
-DERIVATIVE_SERIES_ORDER = 30
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 @dataclass(frozen=True)
@@ -152,15 +149,11 @@ def initial_p_function(spec: StateSpec):
     """Exact symbolic phase-space descriptor of the initial state."""
     f = spec.family
     if f == "coherent":
-        return DeltaP(spec.beta)
+        return GaussianP(spec.beta, 0.0, 0.0)
     if f == "thermal":
-        if spec.mbar == 0.0:
-            return DeltaP(0j)
-        return GaussianPolyP(0j, spec.mbar, [[1.0 / (math.pi * spec.mbar)]])
+        return GaussianP(0j, spec.mbar, spec.mbar)
     if f == "displaced-thermal":
-        if spec.mbar == 0.0:
-            return DeltaP(spec.beta)
-        return GaussianPolyP(spec.beta, spec.mbar, [[1.0 / (math.pi * spec.mbar)]])
+        return GaussianP(spec.beta, spec.mbar, spec.mbar)
     if f == "photon-added-thermal":
         m = spec.mbar
         lead = (m + 1.0) / (math.pi * m**3)
@@ -173,19 +166,15 @@ def initial_p_function(spec: StateSpec):
         return LaplacianDeltaP(spec.beta)
     if f == "squeezed-coherent":
         s = spec.squeeze
-        return HermiteDeltaSeriesP(
-            spec.beta,
-            coef_r=(1.0 - s) / (8.0 * s),
-            coef_i=(s - 1.0) / 8.0,
-            order=DERIVATIVE_SERIES_ORDER,
-        )
+        return GaussianP(spec.beta, (1.0 - s) / (2.0 * s), (s - 1.0) / 2.0)
     raise ValueError(f"unknown family {f!r}")
 
 
-def default_cutoff(spec: StateSpec) -> int:
-    """Truncation heuristic: generous multiple of the mean photon number."""
+def default_cutoff(spec: StateSpec, nbar: float = 0.0) -> int:
+    """Truncation heuristic: generous multiple of the state's mean photon
+    number plus the bath occupation ``nbar`` it relaxes toward."""
     mean_n = initial_moments(spec).mean_n
-    return max(30, math.ceil(8.0 * (mean_n + 1.0)))
+    return max(30, math.ceil(8.0 * (mean_n + nbar + 1.0)))
 
 
 def fock_density(spec: StateSpec, cutoff: int) -> FockDensityMatrix:

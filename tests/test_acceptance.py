@@ -35,6 +35,7 @@ from phasebath import (
     scale_bath,
     tricomi_u_half,
 )
+from phasebath.descriptors import is_regular
 
 CATALOG = [
     StateSpec("coherent", beta=1.5 + 0.5j),
@@ -79,22 +80,28 @@ def test_criterion_1_moment_laws():
     assert ok
 
 
-@pytest.mark.filterwarnings("ignore:derivative series does not converge")
 def test_criterion_2_convolution_vs_closed_forms():
-    """Direct propagator integral vs the evolved closed-form distributions."""
+    """Direct propagator integral vs the evolved closed-form distributions.
+
+    The initial squeezed P is singular, so that state is checked through the
+    bath's semigroup law: its regular closed form at t1 = 0.2 (widths 0.158
+    and 0.772) is convolved numerically over a further dt and compared with
+    the closed form at t1 + dt.
+    """
     axis = np.linspace(-6.0, 6.0, 61)
     template = PhaseSpaceGrid(axis, axis, np.zeros((61, 61)), {})
     bath = BathParams(gamma=0.5, nbar=2.0)
     worst = 0.0
-    for spec in (
-        StateSpec("photon-added-thermal", mbar=1.0),
-        StateSpec("squeezed-coherent", beta=1.0, squeeze=2.0),
+    for spec, t1, steps in (
+        (StateSpec("photon-added-thermal", mbar=1.0), 0.0, (0.2, 1.0)),
+        (StateSpec("squeezed-coherent", beta=1.0, squeeze=2.0), 0.2, (0.3, 0.8)),
     ):
-        for t in (0.2, 1.0):
+        start = evolve_p_closed_form(spec, bath, t1).form
+        for dt in steps:
             closed = evaluate_p(
-                evolve_p_closed_form(spec, bath, t).form, axis[:, None], axis[None, :]
+                evolve_p_closed_form(spec, bath, t1 + dt).form, axis[:, None], axis[None, :]
             )
-            numeric = convolve_p_numeric(initial_p_function(spec), bath, t, template)
+            numeric = convolve_p_numeric(start, bath, dt, template)
             worst = max(worst, float(np.max(np.abs(numeric.values - closed))))
     ok = worst < 1e-6
     report(2, "propagator integral vs closed forms", ok, f"worst dev {worst:.3e}")
@@ -148,10 +155,13 @@ def test_criterion_5_thermal_stationarity():
         for t in (0.3, 1.0, 4.0):
             form = evolve_p_closed_form(spec, bath, t).form
             ref = initial_p_function(spec)
+            # A GaussianP is fixed by its centre and widths, so these are
+            # all its coefficients.
             worst_coeff = max(
                 worst_coeff,
-                abs(form.width - ref.width),
-                float(np.max(np.abs(form.coeffs - ref.coeffs))),
+                abs(form.center - ref.center),
+                abs(form.width_x - ref.width_x),
+                abs(form.width_y - ref.width_y),
             )
         # The geometric tail of the hot state needs extra basis headroom to
         # push the truncation leakage below the stationarity tolerance.
@@ -169,9 +179,9 @@ def test_criterion_5_thermal_stationarity():
     assert ok
 
 
-@pytest.mark.filterwarnings("ignore:derivative series does not converge")
 def test_criterion_6_normalization_and_physicality():
-    """Unit mass of evolved P, Q value bounds, and the uncertainty floor."""
+    """Unit mass of every regular evolved P; Q value bounds and the
+    uncertainty floor for every catalog entry at every time."""
     nodes, w = leggauss(300)
     bath = BathParams(gamma=0.5, nbar=1.0)
     worst_mass = 0.0
@@ -182,19 +192,13 @@ def test_criterion_6_normalization_and_physicality():
         m0 = initial_moments(spec)
         for t in (0.2, 0.5, 1.0, 3.0):
             form = evolve_p_closed_form(spec, bath, t).form
-            # A divergent derivative series (the evolver warns about it) is
-            # outside its validity window: the truncation reaches |P| ~ 1e11
-            # and an absolute 1e-7 mass check is meaningless there.
-            if getattr(form, "tail_ratio", 0.0) >= 1.0:
-                continue
-            half = abs(getattr(form, "center", 0.0)) + 8.0 * math.sqrt(
-                getattr(form, "width", 1.0)
-            )
-            u = nodes * half
-            wu = w * half
-            vals = evaluate_p(form, u[:, None], u[None, :])
-            mass = float(np.sum(vals * np.outer(wu, wu)))
-            worst_mass = max(worst_mass, abs(mass - 1.0))
+            if is_regular(form):
+                half = abs(form.center) + 8.0 * math.sqrt(form.width)
+                u = nodes * half
+                wu = w * half
+                vals = evaluate_p(form, u[:, None], u[None, :])
+                mass = float(np.sum(vals * np.outer(wu, wu)))
+                worst_mass = max(worst_mass, abs(mass - 1.0))
             q = p_to_q_grid(form, axis, axis).values
             q_low = min(q_low, float(q.min()))
             q_high = max(q_high, float(q.max()))

@@ -141,6 +141,58 @@ class TestRunContract:
         assert code == 2
         assert "singular" in capsys.readouterr().err
 
+    def test_strongly_squeezed_q_grid_is_physical(self, tmp_path):
+        code = main(
+            [
+                "run", "--state", "squeezed-coherent", "--beta-re", "0.5",
+                "--squeeze", "4", "--gamma", "0.5", "--nbar", "0",
+                "--times", "0,0.5", "--outputs", "q-grid",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 0
+        for name in ("q-grid-000.csv", "q-grid-001.csv"):
+            q = read_grid_csv(tmp_path / "out" / name)[:, 2]
+            assert q.min() >= 0.0 and q.max() <= 1.0 / math.pi
+
+    def test_singular_squeezed_p_grid_is_an_error(self, tmp_path, capsys):
+        # At t = 0.05 the P width along the squeezed axis is still negative.
+        code = main(
+            [
+                "run", "--state", "squeezed-coherent", "--beta-re", "0.5",
+                "--squeeze", "2", "--gamma", "1", "--nbar", "0.5",
+                "--times", "0.05", "--outputs", "p-grid",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert "singular distribution" in capsys.readouterr().err
+
+    def test_default_cutoff_covers_bath_occupation(self, tmp_path):
+        # A cutoff sized from the state alone (32) lets the trace drift past
+        # the oracle's limit once the hot bath has filled the mode.
+        code = main(
+            [
+                "run", "--state", "photon-added-thermal", "--mbar", "1",
+                "--gamma", "0.5", "--nbar", "2", "--times", "0.5,1",
+                "--outputs", "moments", "--compare", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 0
+
+    def test_numerical_guard_failure_is_an_error(self, tmp_path, capsys):
+        # The Wigner transform's norm check fails on this window.
+        code = main(
+            [
+                "run", "--state", "coherent", "--beta-re", "1", "--gamma", "1",
+                "--nbar", "0.5", "--times", "0,0.5", "--outputs", "moments,w-grid",
+                "--compare", "--grid=-3:3:33", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: norm mismatch") and err.count("\n") == 1
+
     def test_invalid_flags_are_usage_errors(self, tmp_path, capsys):
         assert main(["run", "--state", "nope", "--times", "0"]) == 2
         assert main(["run", "--state", "thermal", "--times", "1,0.5"]) == 2

@@ -119,3 +119,18 @@ class TestTricomiPolynomialBranch:
             gain**k / math.factorial(k) * tricomi_u_half(k, x) for k in range(13)
         )
         np.testing.assert_allclose(u_series(gain, x, 12), total, rtol=1e-12)
+
+    @pytest.mark.parametrize("gain", [-0.9, -0.5, 0.5, 0.9])
+    def test_series_converges_to_closed_sum(self, gain):
+        # sum (-g)^k L_k^{(-1/2)}(x) = (1 + g)^{-1/2} e^{g x/(1 + g)} (DLMF 18.12.13),
+        # the Gaussian factor of the evolved squeezed P.
+        x = np.linspace(0.0, 6.0, 241)
+        closed = (1.0 + gain) ** -0.5 * np.exp(gain * x / (1.0 + gain))
+        errs = [
+            float(np.max(np.abs(u_series(gain, x, n) - closed) * np.exp(-x)))
+            for n in (10, 30, 60, 120)
+        ]
+        # Each order does better until the error reaches roundoff.
+        assert all(b < a or b < 1e-15 for a, b in zip(errs, errs[1:]))
+        if abs(gain) == 0.5:
+            assert errs[2] < 1e-10

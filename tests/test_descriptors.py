@@ -14,17 +14,16 @@ from phasebath import (
     rescale_zero_temperature,
 )
 from phasebath.descriptors import (
-    DeltaP,
+    GaussianP,
     GaussianPolyP,
-    HermiteDeltaSeriesP,
     LaplacianDeltaP,
     SampledGridP,
     is_regular,
 )
 
 
-def thermal_gaussian(mbar: float) -> GaussianPolyP:
-    return GaussianPolyP(center=0j, width=mbar, coeffs=np.array([[1.0 / (math.pi * mbar)]]))
+def thermal_gaussian(mbar: float) -> GaussianP:
+    return GaussianP(center=0j, width_x=mbar, width_y=mbar)
 
 
 class TestEvaluation:
@@ -39,8 +38,16 @@ class TestEvaluation:
         assert vals.shape == (5, 5)
         assert vals[2, 2] == pytest.approx(1.0 / math.pi)
 
+    def test_anisotropic_gaussian_value(self):
+        g = GaussianP(center=1.0 + 0j, width_x=0.5, width_y=2.0)
+        assert evaluate_p(g, 2.0, 1.0) == pytest.approx(math.exp(-2.5) / math.pi)
+
     def test_singular_kinds_refuse_pointwise_values(self):
-        for desc in (DeltaP(1.0 + 0j), LaplacianDeltaP(0.5 + 0j)):
+        for desc in (
+            GaussianP(1.0 + 0j, 0.0, 0.0),
+            GaussianP(0j, -0.25, 0.5),
+            LaplacianDeltaP(0.5 + 0j),
+        ):
             assert not is_regular(desc)
             with pytest.raises(TypeError):
                 evaluate_p(desc, 0.0, 0.0)
@@ -60,19 +67,20 @@ class TestNormalization:
             GaussianPolyP(center=0j, width=1.0, coeffs=np.array([[2.0 / math.pi]]))
 
     def test_unit_mass_kinds(self):
-        assert integral_p(DeltaP(2.0 + 1.0j)) == 1.0
+        assert integral_p(GaussianP(2.0 + 1.0j, 0.0, 0.0)) == 1.0
         assert integral_p(thermal_gaussian(0.7)) == pytest.approx(1.0)
 
 
 class TestZeroTemperatureRescaling:
     def test_delta_center_contracts(self):
-        out = rescale_zero_temperature(DeltaP(2.0 + 0j), 0.5)
+        out = rescale_zero_temperature(GaussianP(2.0 + 0j, 0.0, 0.0), 0.5)
         assert out.center == 1.0 + 0j
+        assert out.width_x == out.width_y == 0.0
 
     def test_gaussian_stays_normalized(self):
         out = rescale_zero_temperature(thermal_gaussian(1.6), 0.5)
-        assert isinstance(out, GaussianPolyP)
-        assert out.width == pytest.approx(0.4)
+        assert isinstance(out, GaussianP)
+        assert out.width_x == out.width_y == pytest.approx(0.4)
         assert integral_p(out) == pytest.approx(1.0)
 
     def test_populations_follow_undamped_kernel(self):
@@ -89,7 +97,7 @@ class TestZeroTemperatureRescaling:
 class TestFockPopulations:
     def test_point_mass_is_poissonian(self):
         beta = 1.3 + 0.4j
-        pops = fock_populations(DeltaP(beta), 30)
+        pops = fock_populations(GaussianP(beta, 0.0, 0.0), 30)
         lam = abs(beta) ** 2
         facts = np.array([float(math.factorial(k)) for k in range(30)])
         expected = np.exp(-lam) * lam ** np.arange(30) / facts
@@ -108,7 +116,12 @@ class TestFockPopulations:
         assert pops.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-class TestHermiteSeriesDescriptor:
-    def test_validates_order(self):
-        with pytest.raises(ValueError):
-            HermiteDeltaSeriesP(center=0j, coef_r=0.1, coef_i=0.1, order=-1)
+class TestGaussianDescriptor:
+    def test_validates_widths(self):
+        # The quadrature variance 1/4 + width/2 must stay positive.
+        for bad in (math.nan, math.inf, -0.5, -0.75):
+            with pytest.raises(ValueError):
+                GaussianP(center=0j, width_x=bad, width_y=0.1)
+            with pytest.raises(ValueError):
+                GaussianP(center=0j, width_x=0.1, width_y=bad)
+        GaussianP(center=0j, width_x=-0.49, width_y=0.0)

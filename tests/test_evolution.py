@@ -18,21 +18,22 @@ from phasebath import (
     mandel_q,
     scale_bath,
 )
-from phasebath.descriptors import DeltaP, GaussianPolyP
+from phasebath.descriptors import GaussianP, GaussianPolyP
 
 
 class TestZeroTemperatureLaw:
     def test_point_mass_spirals_inward(self):
-        ev = evolve_p_zero_temperature(DeltaP(2.0 + 0j), gamma=1.0, t=math.log(2.0))
-        assert isinstance(ev, DeltaP)
+        ev = evolve_p_zero_temperature(GaussianP(2.0 + 0j, 0.0, 0.0), gamma=1.0, t=math.log(2.0))
+        assert isinstance(ev, GaussianP)
         assert ev.center == pytest.approx(1.0 + 0j)
+        assert ev.width_x == ev.width_y == 0.0
 
     def test_gaussian_contracts_and_renormalizes(self):
         mbar = 1.0
-        g = GaussianPolyP(center=0j, width=mbar, coeffs=np.array([[1.0 / (math.pi * mbar)]]))
+        g = GaussianP(center=0j, width_x=mbar, width_y=mbar)
         ev = evolve_p_zero_temperature(g, gamma=0.5, t=1.0)
         eta2 = math.exp(-1.0)
-        assert ev.width == pytest.approx(mbar * eta2)
+        assert ev.width_x == ev.width_y == pytest.approx(mbar * eta2)
         # Peak value rises by 1/eta^2 so the mass stays unity.
         assert evaluate_p(ev, 0.0, 0.0) == pytest.approx(1.0 / (math.pi * mbar * eta2))
 
@@ -138,31 +139,42 @@ class TestNumericConvolution:
             cls.GRID, cls.GRID, np.zeros((cls.GRID.size, cls.GRID.size)), {}
         )
 
-    # At short times a strong squeeze makes the derivative series formally
-    # divergent; both routes truncate at the same order, so they still agree.
-    @pytest.mark.filterwarnings("ignore:derivative series does not converge")
+    # The initial squeezed P is singular, so that state starts from its
+    # regular closed form at t1 = 0.2 and checks the bath's semigroup law.
     @pytest.mark.parametrize(
-        "spec",
+        "spec, t1, steps",
         [
-            StateSpec("thermal", mbar=1.5),
-            StateSpec("photon-added-thermal", mbar=1.0),
-            StateSpec("photon-added-coherent", beta=1.0 + 0.5j),
-            StateSpec("squeezed-coherent", beta=0.8, squeeze=2.0),
+            pytest.param(StateSpec("thermal", mbar=1.5), 0.0, (0.2, 1.0), id="thermal"),
+            pytest.param(
+                StateSpec("photon-added-thermal", mbar=1.0), 0.0, (0.2, 1.0),
+                id="photon-added-thermal",
+            ),
+            pytest.param(
+                StateSpec("photon-added-coherent", beta=1.0 + 0.5j), 0.0, (0.2, 1.0),
+                id="photon-added-coherent",
+            ),
+            pytest.param(
+                StateSpec("squeezed-coherent", beta=0.8, squeeze=2.0), 0.2, (0.3, 0.8),
+                id="squeezed-coherent",
+            ),
         ],
-        ids=lambda s: s.family,
     )
-    def test_matches_closed_form(self, spec):
+    def test_matches_closed_form(self, spec, t1, steps):
         bath = BathParams(gamma=0.5, nbar=2.0)
-        for t in (0.2, 1.0):
+        start = evolve_p_closed_form(spec, bath, t1).form
+        for dt in steps:
             closed = evaluate_p(
-                evolve_p_closed_form(spec, bath, t).form,
+                evolve_p_closed_form(spec, bath, t1 + dt).form,
                 self.GRID[:, None],
                 self.GRID[None, :],
             )
-            numeric = convolve_p_numeric(
-                initial_p_function(spec), bath, t, self.template()
-            )
+            numeric = convolve_p_numeric(start, bath, dt, self.template())
             np.testing.assert_allclose(numeric.values, closed, atol=1e-10)
+
+    def test_rejects_singular_squeezed_input(self):
+        p0 = initial_p_function(StateSpec("squeezed-coherent", beta=0.8, squeeze=2.0))
+        with pytest.raises(TypeError, match="singular"):
+            convolve_p_numeric(p0, BathParams(gamma=0.5, nbar=2.0), 0.2, self.template())
 
     def test_point_mass_kernel(self):
         # A coherent input turns the propagator into a displaced Gaussian.
@@ -170,7 +182,7 @@ class TestNumericConvolution:
         bath = BathParams(gamma=1.0, nbar=1.0)
         t = 0.6
         scaled = scale_bath(bath, t)
-        numeric = convolve_p_numeric(DeltaP(beta), bath, t, self.template())
+        numeric = convolve_p_numeric(GaussianP(beta, 0.0, 0.0), bath, t, self.template())
         c = beta * scaled.decay_factor
         X, Y = np.meshgrid(self.GRID, self.GRID, indexing="ij")
         expected = np.exp(-((X - c.real) ** 2 + (Y - c.imag) ** 2) / scaled.nbar_t) / (

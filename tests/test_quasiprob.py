@@ -21,7 +21,7 @@ from phasebath import (
     p_to_q_smoothing,
     wigner_from_characteristic,
 )
-from phasebath.descriptors import DeltaP
+from phasebath.descriptors import GaussianP
 
 
 def square_grid(half: float, n: int) -> PhaseSpaceGrid:
@@ -68,7 +68,7 @@ class TestCharacteristicFunction:
 class TestSmoothing:
     def test_point_mass_gives_coherent_overlap(self):
         beta = 1.0 + 1.0j
-        desc = DeltaP(beta)
+        desc = GaussianP(beta, 0.0, 0.0)
         for alpha in (0.0 + 0j, 0.5 - 0.5j):
             expected = math.exp(-abs(alpha - beta) ** 2) / math.pi
             assert p_to_q_smoothing(desc, alpha) == pytest.approx(expected, rel=1e-12)
@@ -111,6 +111,29 @@ class TestSmoothing:
         smoothed = p_to_q_grid(ev.form, x, x)
         direct = husimi_q_grid(rho, x, x)
         assert float(np.max(np.abs(smoothed.values - direct.values))) < 1e-6
+
+    @pytest.mark.parametrize(
+        "squeeze, bath, t",
+        [
+            (0.25, None, 0.0),
+            (0.5, None, 0.0),
+            (2.0, None, 0.0),
+            (4.0, None, 0.0),
+            # Regime where the truncated U-series once diverged (term ratio 2.26).
+            (2.0, BathParams(gamma=1.0, nbar=0.5), 0.2),
+        ],
+        ids=["s0.25", "s0.5", "s2", "s4", "s2-nbar0.5-t0.2"],
+    )
+    def test_squeezed_closed_form_matches_fock_state(self, squeeze, bath, t):
+        spec = StateSpec("squeezed-coherent", beta=1.0 + 0.3j, squeeze=squeeze)
+        bath = bath or BathParams(gamma=1.0, nbar=0.0)
+        rho = fock_density(spec, 80)
+        if t > 0:
+            rho = integrate(rho, LindbladSettings(80, 1e-3, bath), t, [t])[0]
+        x = np.linspace(-4.0, 4.0, 41)
+        smoothed = p_to_q_grid(evolve_p_closed_form(spec, bath, t).form, x, x)
+        direct = husimi_q_grid(rho, x, x)
+        assert float(np.max(np.abs(smoothed.values - direct.values))) < 1e-10
 
     def test_output_bounds(self):
         desc = initial_p_function(StateSpec("photon-added-thermal", mbar=2.0))

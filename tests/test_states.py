@@ -17,7 +17,7 @@ from phasebath import (
     integral_p,
     parse_state_spec,
 )
-from phasebath.descriptors import DeltaP, GaussianPolyP, LaplacianDeltaP
+from phasebath.descriptors import GaussianP, LaplacianDeltaP
 
 SAMPLE_SPECS = [
     StateSpec("coherent", beta=1.2 + 0.7j),
@@ -106,8 +106,9 @@ class TestInitialMoments:
 class TestInitialDistributions:
     def test_coherent_is_point_mass(self):
         desc = initial_p_function(StateSpec("coherent", beta=1.0 + 2.0j))
-        assert isinstance(desc, DeltaP)
+        assert isinstance(desc, GaussianP)
         assert desc.center == 1.0 + 2.0j
+        assert desc.width_x == desc.width_y == 0.0
 
     def test_added_photon_coherent_is_derivative_form(self):
         desc = initial_p_function(StateSpec("photon-added-coherent", beta=0.5))
@@ -140,15 +141,16 @@ class TestInitialDistributions:
     def test_thermal_gaussian_value(self):
         mbar = 2.0
         desc = initial_p_function(StateSpec("thermal", mbar=mbar))
-        assert isinstance(desc, GaussianPolyP)
+        assert isinstance(desc, GaussianP)
         assert evaluate_p(desc, 1.0, 1.0) == pytest.approx(
             math.exp(-2.0 / mbar) / (math.pi * mbar)
         )
 
     def test_zero_temperature_thermal_degenerates(self):
         desc = initial_p_function(StateSpec("thermal", mbar=0.0))
-        assert isinstance(desc, DeltaP)
+        assert isinstance(desc, GaussianP)
         assert desc.center == 0.0
+        assert desc.width_x == desc.width_y == 0.0
 
 
 class TestFockDensity:
