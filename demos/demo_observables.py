@@ -5,7 +5,7 @@ Run:  python3 demos/demo_observables.py
 
 import numpy as np
 
-from phasebath import BathParams, StateSpec, evolved_moments, initial_moments, mandel_q
+from phasebath import BathParams, StateSpec, evolved_moments, initial_moments
 
 bath = BathParams(gamma=0.5, nbar=0.5)
 times = np.linspace(0.0, 6.0, 7)
@@ -29,6 +29,6 @@ for spec in catalog:
     for t in times:
         m = evolved_moments(m0, bath, float(t))
         print(
-            f"  {t:4.1f}  {m.mean_n:8.4f}  {m.var_x:8.4f}  {mandel_q(m0, bath, float(t)):+9.4f}"
+            f"  {t:4.1f}  {m.mean_n:8.4f}  {m.var_x:8.4f}  {m.mandel_q():+9.4f}"
         )
     print()

@@ -30,7 +30,6 @@ from .evolution import (
     evolve_p_closed_form,
     evolve_p_zero_temperature,
     evolved_moments,
-    mandel_q,
 )
 from .fock import FockDensityMatrix
 from .lindblad import (

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .core import BathParams
-from .descriptors import evaluate_p, is_regular
-from .evolution import evolve_p_closed_form, evolved_moments, mandel_q
+from .descriptors import evaluate_p, singular_part
+from .evolution import evolve_p_closed_form, evolved_moments
 from .lindblad import LindbladSettings, integrate, moments_from_rho
 from .quasiprob import PhaseSpaceGrid, p_to_q_grid, wigner_from_characteristic
 from .states import (
@@ -185,11 +185,11 @@ def run(config: RunConfig) -> int:
             name = f"{artifact}-{idx:03d}.{ext}"
             path = out_dir / name
             if artifact == "p-grid":
-                if not is_regular(form):
+                singular = singular_part(form)
+                if singular:
                     raise ValueError(
-                        f"state {config.state.family!r} at t={t} has a singular "
-                        "distribution (delta-like); p-grid is not representable "
-                        "on a sample grid"
+                        f"state {config.state.family!r} at t={t} has a singular P "
+                        f"function ({singular}); p-grid is not representable on a sample grid"
                     )
                 values = evaluate_p(form, axis[:, None], axis[None, :])
                 _write_grid(path, PhaseSpaceGrid(axis, axis, values, {"quantity": "P"}), ext)
@@ -201,7 +201,7 @@ def run(config: RunConfig) -> int:
             elif artifact == "moments":
                 _write_record(path, _moments_record(t, mt), ext)
             elif artifact == "mandel-q":
-                _write_record(path, {"time": t, "mandel_q": float(mandel_q(m0, config.bath, t))}, ext)
+                _write_record(path, {"time": t, "mandel_q": float(mt.mandel_q())}, ext)
             elif artifact == "variances":
                 _write_record(
                     path,

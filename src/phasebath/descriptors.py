@@ -5,20 +5,33 @@ A descriptor is one of:
 * ``GaussianP`` -- Gaussian with signed per-axis widths (the coherent,
   thermal, displaced-thermal and squeezed-coherent forms at every time).
 * ``GaussianPolyP`` -- polynomial-times-Gaussian, polynomial in coordinates
-  centred on the Gaussian (the evolved photon-added forms).
+  centred on the Gaussian (the photon-added thermal form, and every
+  photon-added form once the kernel has a width).
 * ``LaplacianDeltaP`` -- exponentially weighted mixed second derivative of a
-  delta (the initial photon-added-coherent form).
+  delta, rescaled by a pure decay (the photon-added coherent form before the
+  kernel has a width).
 * ``SampledGridP`` -- values tabulated on a uniform rectangular grid.
+
+Each closed-form kind has one operation, ``convolved(decay_factor, width)``:
+its exact image under the Gaussian kernel that contracts the centre by the
+decay factor eta and adds ``width`` to the P width,
+
+    P'(alpha) = (1/(pi width)) integral P(beta) exp(-|alpha - eta beta|^2 / width) d2beta.
+
+Width 0 is the pure decay P(alpha/eta)/eta^2.  The bath at time t is
+(eta, nbar_t), and (1, 1) smooths P into the antinormal distribution Q
+(Cahill & Glauber, Phys. Rev. 177, 1882 (1969)).
 
 Regular descriptors are ordinary functions and can be evaluated pointwise.
 A ``GaussianP`` with a width <= 0 and a ``LaplacianDeltaP`` are distributions
-and only enter integrals analytically.
+and only enter integrals analytically; their image at width 1, the Q
+function, is always regular.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -34,6 +47,7 @@ __all__ = [
     "evaluate_p",
     "integral_p",
     "is_regular",
+    "singular_part",
     "rescale_zero_temperature",
     "fock_populations",
 ]
@@ -61,17 +75,6 @@ def checked_grid(x_axis, y_axis, values):
     if not np.all(np.isfinite(v)):
         raise ValueError("grid values must be finite")
     return x, y, v
-
-
-def gaussian_density(u, v, width_x: float, width_y: float) -> np.ndarray:
-    """exp(-u^2/width_x - v^2/width_y) / (pi sqrt(width_x width_y)), unit mass.
-
-    Written so that equal widths give exp(-(u^2 + v^2)/w) / (pi w) exactly.
-    """
-    ratio = width_x / width_y
-    return np.exp(-(u * u + v * v * ratio) / width_x) * (
-        1.0 / (math.pi * math.sqrt(width_x * width_y))
-    )
 
 
 @dataclass(frozen=True)
@@ -102,12 +105,24 @@ class GaussianP:
         """The larger per-axis width, which sizes quadrature boxes."""
         return max(self.width_x, self.width_y)
 
-    def convolved(self, decay_factor: float, nbar_t: float) -> "GaussianP":
-        """Image under the bath kernel: centre eta c, each width eta^2 w + nbar_t."""
+    def convolved(self, decay_factor: float, width: float) -> "GaussianP":
+        """Image under the bath kernel: centre eta c, each width eta^2 w + width."""
         eta2 = decay_factor * decay_factor
         return GaussianP(
-            self.center * decay_factor, self.width_x * eta2 + nbar_t, self.width_y * eta2 + nbar_t
+            self.center * decay_factor, self.width_x * eta2 + width, self.width_y * eta2 + width
         )
+
+
+def _smoothing_matrix(slope: float, variance: float, kmax: int) -> np.ndarray:
+    """Row k holds the power-series coefficients in x of E[(slope x + Z)^k],
+    Z ~ N(0, variance), for k = 0..kmax, by the standard moment recurrence."""
+    out = np.zeros((kmax + 1, kmax + 1))
+    out[0, 0] = 1.0
+    for k in range(1, kmax + 1):
+        out[k, 1:] = slope * out[k - 1, :-1]
+        if k >= 2:
+            out[k] += (k - 1) * variance * out[k - 2]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,26 +148,63 @@ class GaussianPolyP:
         if abs(mass - 1.0) > _NORMALIZATION_TOL:
             raise ValueError(f"descriptor integrates to {mass!r}, expected 1")
 
+    def convolved(self, decay_factor: float, width: float) -> "GaussianPolyP":
+        """Image under the bath kernel: centre eta c, Gaussian width T = eta^2 W + width.
+
+        Per axis, with x measured from eta c, integral u^k e^{-u^2/W}
+        e^{-(x - eta u)^2/width} du = sqrt(pi W width / T) e^{-x^2/T}
+        E[(a x + Z)^k], where a = eta W / T and Z ~ N(0, W width / (2 T)).
+        """
+        eta, w0 = decay_factor, self.width
+        total = w0 * eta * eta + width
+        if not total > 0:
+            raise ValueError("a fully decayed state has no image under a zero-width kernel")
+        ni, nj = self.coeffs.shape
+        m = _smoothing_matrix(eta * w0 / total, 0.5 * w0 * width / total, max(ni, nj) - 1)
+        coeffs = (w0 / total) * (m[:ni, :ni].T @ self.coeffs @ m[:nj, :nj])
+        return GaussianPolyP(self.center * eta, total, coeffs)
+
 
 @dataclass(frozen=True)
 class LaplacianDeltaP:
-    """Weighted mixed delta derivative (photon-added coherent state).
+    """Weighted mixed delta derivative (photon-added coherent state) after pure decay.
 
-    Canonical form (arg_scale = weight = 1):
-    P(alpha) = e^{|alpha|^2 - |center|^2}/(|center|^2 + 1)
-               d^2/(d alpha d alpha*) delta2(alpha - center).
-    A zero-temperature rescale maps it to weight * P(arg_scale * alpha).
+    P(alpha) = P_c(alpha / decay) / decay^2 with c = center and
+    P_c(alpha) = e^{|alpha|^2 - |c|^2}/(|c|^2 + 1) d^2/(d alpha d alpha*) delta2(alpha - c),
+    so its mass sits at decay * c.
     """
 
     center: complex
-    arg_scale: float = 1.0
-    weight: float = 1.0
+    decay: float = 1.0
     kind: ClassVar[str] = "delta-derivative-series"
 
     def __post_init__(self):
         object.__setattr__(self, "center", check_amplitude(self.center))
-        if not (math.isfinite(self.arg_scale) and self.arg_scale > 0):
-            raise ValueError("arg_scale must be positive")
+        if not (math.isfinite(self.decay) and self.decay > 0):
+            raise ValueError("decay must be positive")
+
+    def convolved(self, decay_factor: float, width: float):
+        """Image under the bath kernel K = e^{-|alpha - eta beta|^2/width}/(pi width).
+
+        With eta the accumulated decay, integration by parts gives
+        K(alpha, c) [(1 - eta^2/width) + |c + eta (alpha - eta c)/width|^2] / (|c|^2 + 1),
+        a polynomial-times-Gaussian about eta c.  A zero width only decays.
+        """
+        eta = self.decay * decay_factor
+        if width == 0.0:
+            return LaplacianDeltaP(self.center, eta)
+        c = self.center
+        pref = 1.0 / (math.pi * width * (abs(c) ** 2 + 1.0))
+        amp = eta / width
+        const = 1.0 - eta * eta / width
+        # |amp (u + iv) + c|^2 + const, in kernel-centred coordinates.
+        coeffs = np.zeros((3, 3))
+        coeffs[0, 0] = pref * (abs(c) ** 2 + const)
+        coeffs[1, 0] = pref * 2.0 * amp * c.real
+        coeffs[0, 1] = pref * 2.0 * amp * c.imag
+        coeffs[2, 0] = pref * amp * amp
+        coeffs[0, 2] = pref * amp * amp
+        return GaussianPolyP(c * eta, width, coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,11 +222,20 @@ class SampledGridP:
             object.__setattr__(self, name, arr)
 
 
+def singular_part(desc) -> str | None:
+    """What makes the descriptor a distribution, or None for an ordinary function."""
+    if isinstance(desc, LaplacianDeltaP):
+        return "a delta derivative"
+    if isinstance(desc, GaussianP) and min(desc.width_x, desc.width_y) < 0.0:
+        return "a negative width"
+    if isinstance(desc, GaussianP) and min(desc.width_x, desc.width_y) == 0.0:
+        return "a point mass"
+    return None
+
+
 def is_regular(desc) -> bool:
     """True if the descriptor is an ordinary function of alpha."""
-    if isinstance(desc, GaussianP):
-        return min(desc.width_x, desc.width_y) > 0.0
-    return isinstance(desc, (GaussianPolyP, SampledGridP))
+    return singular_part(desc) is None
 
 
 def evaluate_p(desc, x, y) -> np.ndarray:
@@ -185,8 +246,12 @@ def evaluate_p(desc, x, y) -> np.ndarray:
         u, v = np.broadcast_arrays(x - desc.center.real, y - desc.center.imag)
         return npoly.polyval2d(u, v, desc.coeffs) * np.exp(-(u * u + v * v) / desc.width)
     if isinstance(desc, GaussianP) and is_regular(desc):
+        # Written so that equal widths give exp(-(u^2 + v^2)/w) / (pi w) exactly.
         u, v = x - desc.center.real, y - desc.center.imag
-        return gaussian_density(u, v, desc.width_x, desc.width_y)
+        ratio = desc.width_x / desc.width_y
+        return np.exp(-(u * u + v * v * ratio) / desc.width_x) * (
+            1.0 / (math.pi * math.sqrt(desc.width_x * desc.width_y))
+        )
     if isinstance(desc, SampledGridP):
         from scipy.interpolate import RegularGridInterpolator
 
@@ -214,7 +279,7 @@ def integral_p(desc) -> float:
         gj = _gaussian_1d_moments(desc.width, nj - 1)
         return float(gi @ desc.coeffs @ gj)
     if isinstance(desc, (GaussianP, LaplacianDeltaP)):
-        # Normalized by construction; argument rescaling preserves the mass.
+        # Normalized by construction; the bath kernel preserves the mass.
         return 1.0
     if isinstance(desc, SampledGridP):
         return float(np.trapezoid(np.trapezoid(desc.values, desc.y_axis, axis=1), desc.x_axis))
@@ -224,27 +289,13 @@ def integral_p(desc) -> float:
 def rescale_zero_temperature(desc, decay_factor: float):
     """Pure-decay map P(alpha) -> P(alpha / eta) / eta^2 with eta = decay_factor.
 
-    This is argument rescaling plus reweighting; it preserves total mass and
-    maps every descriptor kind onto its own kind.
+    This is the bath kernel of zero width; it preserves total mass and maps
+    every closed-form descriptor kind onto its own kind.
     """
     eta = float(decay_factor)
     if not (0 < eta <= 1):
         raise ValueError(f"decay_factor must lie in (0, 1], got {decay_factor}")
-    if eta == 1.0:
-        return desc
-    if isinstance(desc, GaussianP):
-        return desc.convolved(eta, 0.0)
-    if isinstance(desc, GaussianPolyP):
-        ni, nj = desc.coeffs.shape
-        scale = np.array(
-            [[eta ** (-(i + j + 2)) for j in range(nj)] for i in range(ni)]
-        )
-        return GaussianPolyP(desc.center * eta, desc.width * eta * eta, desc.coeffs * scale)
-    if isinstance(desc, LaplacianDeltaP):
-        return replace(desc, arg_scale=desc.arg_scale / eta, weight=desc.weight / (eta * eta))
-    if isinstance(desc, SampledGridP):
-        return SampledGridP(desc.x_axis * eta, desc.y_axis * eta, desc.values / (eta * eta))
-    raise TypeError(f"unsupported descriptor {type(desc).__name__}")
+    return desc.convolved(eta, 0.0)
 
 
 def fock_populations(desc, cutoff: int, nodes: int = 240) -> np.ndarray:

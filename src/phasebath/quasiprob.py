@@ -2,9 +2,12 @@
 and the Fourier route to the symmetric-ordering distribution.
 
 These are the verification bridge between the phase-space evolution engine and
-the number-basis integrator: the antinormal distribution Q(alpha) is the
-unit-Gaussian smoothing of the diagonal weight function P, and also equals
-(1/pi) <alpha|rho|alpha> computed from a density matrix.
+the number-basis integrator.  The antinormal distribution Q(alpha) is the
+bath map of ``descriptors`` at decay 1 and width 1, ``p.convolved(1.0, 1.0)``,
+evaluated pointwise; a sampled P is smoothed by quadrature instead.  Q also
+equals (1/pi) <alpha|rho|alpha> computed from a density matrix, and the
+Wigner function comes from the density matrix alone, by Fourier transform of
+the symmetric characteristic function.
 """
 
 from __future__ import annotations
@@ -16,15 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import check_amplitude
-from .descriptors import (
-    GaussianP,
-    GaussianPolyP,
-    LaplacianDeltaP,
-    SampledGridP,
-    checked_grid,
-    evaluate_p,
-    gaussian_density,
-)
+from .descriptors import SampledGridP, checked_grid, evaluate_p
 from .fock import FockDensityMatrix
 from .quadrature import gauss_legendre_nodes
 
@@ -109,60 +104,20 @@ def characteristic_function(
     return chi
 
 
-def _moments_about(mu: np.ndarray, s2: float, kmax: int) -> np.ndarray:
-    """E[(mu + Z)^k] for Z ~ N(0, s2), k = 0..kmax, by the standard recurrence."""
-    out = np.empty((kmax + 1,) + mu.shape)
-    out[0] = 1.0
-    if kmax >= 1:
-        out[1] = mu
-    for k in range(2, kmax + 1):
-        out[k] = mu * out[k - 1] + (k - 1) * s2 * out[k - 2]
-    return out
-
-
-def _gauss_smooth_axis_poly(x: np.ndarray, width: float, kmax: int) -> np.ndarray:
-    """I_k(x) = integral u^k e^{-u^2/width} e^{-(x-u)^2} du for k = 0..kmax."""
-    wp1 = width + 1.0
-    mu = x * width / wp1
-    s2 = 0.5 * width / wp1
-    moments = _moments_about(mu, s2, kmax)
-    envelope = np.exp(-x * x / wp1) * math.sqrt(math.pi * width / wp1)
-    return moments * envelope
-
-
 def _q_values(p, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Q(alpha) = (1/pi) integral P(beta) e^{-|alpha-beta|^2} d2beta."""
     if isinstance(p, PhaseSpaceGrid):
         p = SampledGridP(p.x_axis, p.y_axis, p.values)
-    if isinstance(p, GaussianP):
-        # The unit-width smoothing kernel adds 1 to each signed P width.
-        u, v = X - p.center.real, Y - p.center.imag
-        return gaussian_density(u, v, p.width_x + 1.0, p.width_y + 1.0)
-    if isinstance(p, GaussianPolyP):
-        ni, nj = p.coeffs.shape
-        ix = _gauss_smooth_axis_poly(X - p.center.real, p.width, ni - 1)
-        iy = _gauss_smooth_axis_poly(Y - p.center.imag, p.width, nj - 1)
-        acc = np.zeros_like(np.asarray(X, dtype=float))
-        for i in range(ni):
-            for j in range(nj):
-                if p.coeffs[i, j] != 0.0:
-                    acc = acc + p.coeffs[i, j] * ix[i] * iy[j]
-        return acc / math.pi
-    if isinstance(p, LaplacianDeltaP):
-        if p.arg_scale != 1.0 or p.weight != 1.0:
-            raise ValueError("only the canonical (unscaled) descriptor is supported")
-        alpha = np.asarray(X, dtype=float) + 1j * np.asarray(Y, dtype=float)
-        overlap = np.exp(-np.abs(alpha - p.center) ** 2)
-        return np.abs(alpha) ** 2 * overlap / (math.pi * (abs(p.center) ** 2 + 1.0))
-    if isinstance(p, SampledGridP):
-        xs, wx = gauss_legendre_nodes(float(p.x_axis[0]), float(p.x_axis[-1]), 4 * p.x_axis.size)
-        ys, wy = gauss_legendre_nodes(float(p.y_axis[0]), float(p.y_axis[-1]), 4 * p.y_axis.size)
-        pv = evaluate_p(p, xs[:, None], ys[None, :])
-        kx = np.exp(-((np.asarray(X, dtype=float).ravel()[:, None] - xs[None, :]) ** 2)) * wx
-        ky = np.exp(-((np.asarray(Y, dtype=float).ravel()[:, None] - ys[None, :]) ** 2)) * wy
-        out = kx @ pv @ ky.T / math.pi
-        return out.reshape(np.broadcast(X, Y).shape) if np.ndim(X) else out[0, 0]
-    raise TypeError(f"unsupported input {type(p).__name__}")
+    if not isinstance(p, SampledGridP):
+        # The unit-width kernel without decay is exactly this smoothing.
+        return evaluate_p(p.convolved(1.0, 1.0), X, Y)
+    xs, wx = gauss_legendre_nodes(float(p.x_axis[0]), float(p.x_axis[-1]), 4 * p.x_axis.size)
+    ys, wy = gauss_legendre_nodes(float(p.y_axis[0]), float(p.y_axis[-1]), 4 * p.y_axis.size)
+    pv = evaluate_p(p, xs[:, None], ys[None, :])
+    kx = np.exp(-((np.asarray(X, dtype=float).ravel()[:, None] - xs[None, :]) ** 2)) * wx
+    ky = np.exp(-((np.asarray(Y, dtype=float).ravel()[:, None] - ys[None, :]) ** 2)) * wy
+    out = kx @ pv @ ky.T / math.pi
+    return out.reshape(np.broadcast(X, Y).shape) if np.ndim(X) else out[0, 0]
 
 
 def p_to_q_smoothing(p, alpha) -> float:
@@ -221,7 +176,8 @@ def wigner_from_characteristic(rho: FockDensityMatrix, grid: PhaseSpaceGrid) -> 
     mass = out.mass()
     if abs(mass - 1.0) > 1e-4:
         raise RuntimeError(
-            f"norm mismatch {mass - 1.0:+.3e}: aliasing suspected; enlarge the "
-            "grid extent or refine its spacing"
+            f"norm mismatch {mass - 1.0:+.3e}: the window holds {mass:.6f} of the unit "
+            "mass, so W extends past it (enlarge --grid) or the transform aliases "
+            "(refine the grid spacing)"
         )
     return out

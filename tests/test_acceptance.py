@@ -28,7 +28,6 @@ from phasebath import (
     initial_moments,
     initial_p_function,
     integrate,
-    mandel_q,
     moments_from_rho,
     p_to_q_grid,
     rescale_zero_temperature,
@@ -83,10 +82,11 @@ def test_criterion_1_moment_laws():
 def test_criterion_2_convolution_vs_closed_forms():
     """Direct propagator integral vs the evolved closed-form distributions.
 
-    The initial squeezed P is singular, so that state is checked through the
-    bath's semigroup law: its regular closed form at t1 = 0.2 (widths 0.158
-    and 0.772) is convolved numerically over a further dt and compared with
-    the closed form at t1 + dt.
+    The initial coherent, photon-added coherent and squeezed P are singular,
+    so those states are checked through the bath's semigroup law: the regular
+    closed form at t1 = 0.2 (P width 0.363 for the first two, widths 0.158
+    and 0.772 for the squeezed state) is convolved numerically over a further
+    dt and compared with the closed form at t1 + dt.
     """
     axis = np.linspace(-6.0, 6.0, 61)
     template = PhaseSpaceGrid(axis, axis, np.zeros((61, 61)), {})
@@ -94,6 +94,8 @@ def test_criterion_2_convolution_vs_closed_forms():
     worst = 0.0
     for spec, t1, steps in (
         (StateSpec("photon-added-thermal", mbar=1.0), 0.0, (0.2, 1.0)),
+        (StateSpec("coherent", beta=1.5 + 0.5j), 0.2, (0.3, 0.8)),
+        (StateSpec("photon-added-coherent", beta=1.2 + 0.4j), 0.2, (0.3, 0.8)),
         (StateSpec("squeezed-coherent", beta=1.0, squeeze=2.0), 0.2, (0.3, 0.8)),
     ):
         start = evolve_p_closed_form(spec, bath, t1).form
@@ -230,7 +232,7 @@ def test_criterion_7_mandel_q_sweep():
         rho0, LindbladSettings(60, 1e-3, bath), float(times[-1]), list(times[1:])
     )
     m0 = initial_moments(spec)
-    analytic = np.array([mandel_q(m0, bath, float(t)) for t in times])
+    analytic = np.array([evolved_moments(m0, bath, float(t)).mandel_q() for t in times])
     oracle = np.array([moments_from_rho(r).mandel_q() for r in states])
     worst = float(np.max(np.abs(analytic - oracle)))
     sign_ok = (

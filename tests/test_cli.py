@@ -6,6 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from phasebath import (
+    BathParams,
+    LindbladSettings,
+    StateSpec,
+    fock_density,
+    husimi_q_grid,
+    integrate,
+)
 from phasebath.cli import GridSpec, RunConfig, main, state_catalog
 from phasebath.states import parse_state_spec
 
@@ -166,7 +174,9 @@ class TestRunContract:
             ]
         )
         assert code == 2
-        assert "singular distribution" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "singular P function (a negative width)" in err
+        assert "delta-like" not in err
 
     def test_default_cutoff_covers_bath_occupation(self, tmp_path):
         # A cutoff sized from the state alone (32) lets the trace drift past
@@ -192,6 +202,27 @@ class TestRunContract:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: norm mismatch") and err.count("\n") == 1
+        # W reaches past +-3 here: the window, not aliasing, is named first.
+        assert "the window holds 0.999898 of the unit mass" in err
+        assert err.index("enlarge --grid") < err.index("aliases")
+
+    def test_zero_temperature_photon_added_coherent_q_grid(self, tmp_path):
+        # The pure-decay image of the delta-derivative P has a regular Q.
+        code = main(
+            [
+                "run", "--state", "photon-added-coherent", "--beta-re", "1",
+                "--gamma", "0.5", "--nbar", "0", "--times", "0,0.5",
+                "--outputs", "q-grid", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 0
+        spec = StateSpec("photon-added-coherent", beta=1.0)
+        bath = BathParams(gamma=0.5, nbar=0.0)
+        rho = integrate(fock_density(spec, 60), LindbladSettings(60, 1e-3, bath), 0.5, [0.5])[0]
+        axis = GridSpec().axis()
+        expected = husimi_q_grid(rho, axis, axis).values
+        q = read_grid_csv(tmp_path / "out" / "q-grid-001.csv")[:, 2].reshape(expected.shape)
+        assert float(np.max(np.abs(q - expected))) < 1e-10
 
     def test_invalid_flags_are_usage_errors(self, tmp_path, capsys):
         assert main(["run", "--state", "nope", "--times", "0"]) == 2

@@ -125,3 +125,42 @@ class TestGaussianDescriptor:
             with pytest.raises(ValueError):
                 GaussianP(center=0j, width_x=0.1, width_y=bad)
         GaussianP(center=0j, width_x=-0.49, width_y=0.0)
+
+
+class TestBathMap:
+    X = np.linspace(-4.0, 4.0, 17)
+
+    def values(self, desc):
+        return evaluate_p(desc, self.X[:, None], self.X[None, :])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            StateSpec("photon-added-thermal", mbar=0.7),
+            StateSpec("photon-added-coherent", beta=1.0 - 0.5j),
+            StateSpec("squeezed-coherent", beta=0.5j, squeeze=3.0),
+        ],
+        ids=lambda s: s.family,
+    )
+    def test_composes_as_a_semigroup(self, spec):
+        # K(eta2, w2) after K(eta1, w1) is K(eta1 eta2, eta2^2 w1 + w2).
+        p0 = initial_p_function(spec)
+        (eta1, w1), (eta2, w2) = (0.8, 0.3), (0.6, 0.9)
+        stepped = p0.convolved(eta1, w1).convolved(eta2, w2)
+        direct = p0.convolved(eta1 * eta2, eta2 * eta2 * w1 + w2)
+        np.testing.assert_allclose(self.values(stepped), self.values(direct), rtol=1e-12, atol=1e-15)
+
+    def test_zero_width_rescales_polynomial(self):
+        # P(alpha/eta)/eta^2 multiplies the u^i v^j coefficient by eta^-(i+j+2).
+        p0 = initial_p_function(StateSpec("photon-added-thermal", mbar=1.3))
+        eta = 0.7
+        out = rescale_zero_temperature(p0, eta)
+        i, j = np.indices(p0.coeffs.shape)
+        assert out.width == pytest.approx(1.3 * eta * eta, rel=1e-15)
+        np.testing.assert_allclose(out.coeffs, p0.coeffs * eta ** -(i + j + 2.0), rtol=1e-14)
+
+    def test_zero_width_folds_decay_into_delta_derivative(self):
+        p0 = LaplacianDeltaP(1.0 + 0.5j)
+        out = p0.convolved(0.5, 0.0).convolved(0.4, 0.0)
+        assert isinstance(out, LaplacianDeltaP)
+        assert out.center == p0.center and out.decay == pytest.approx(0.2)

@@ -15,8 +15,6 @@ from phasebath import (
     evolved_moments,
     initial_moments,
     initial_p_function,
-    mandel_q,
-    scale_bath,
 )
 from phasebath.descriptors import GaussianP, GaussianPolyP
 
@@ -84,14 +82,14 @@ class TestMandelQ:
         m0 = initial_moments(StateSpec("coherent", beta=1.4))
         bath = BathParams(gamma=1.0, nbar=0.0)
         for t in (0.0, 0.5, 2.0):
-            assert mandel_q(m0, bath, t) == pytest.approx(0.0, abs=1e-12)
+            assert evolved_moments(m0, bath, t).mandel_q() == pytest.approx(0.0, abs=1e-12)
 
     def test_added_photon_thermal_sweep(self):
         # Starts at 1/3 for mbar = 1 and relaxes to the bath value.
         m0 = initial_moments(StateSpec("photon-added-thermal", mbar=1.0))
         bath = BathParams(gamma=1.0, nbar=0.5)
-        assert mandel_q(m0, bath, 0.0) == pytest.approx(1.0 / 3.0)
-        assert mandel_q(m0, bath, 30.0) == pytest.approx(0.5, abs=1e-9)
+        assert evolved_moments(m0, bath, 0.0).mandel_q() == pytest.approx(1.0 / 3.0)
+        assert evolved_moments(m0, bath, 30.0).mandel_q() == pytest.approx(0.5, abs=1e-9)
 
 
 class TestClosedFormDistributions:
@@ -139,8 +137,9 @@ class TestNumericConvolution:
             cls.GRID, cls.GRID, np.zeros((cls.GRID.size, cls.GRID.size)), {}
         )
 
-    # The initial squeezed P is singular, so that state starts from its
-    # regular closed form at t1 = 0.2 and checks the bath's semigroup law.
+    # The initial coherent, photon-added coherent and squeezed P are
+    # singular, so those states start from their regular closed form at
+    # t1 = 0.2 and check the bath's semigroup law.
     @pytest.mark.parametrize(
         "spec, t1, steps",
         [
@@ -149,8 +148,9 @@ class TestNumericConvolution:
                 StateSpec("photon-added-thermal", mbar=1.0), 0.0, (0.2, 1.0),
                 id="photon-added-thermal",
             ),
+            pytest.param(StateSpec("coherent", beta=1.0 + 1.0j), 0.2, (0.3, 0.8), id="coherent"),
             pytest.param(
-                StateSpec("photon-added-coherent", beta=1.0 + 0.5j), 0.0, (0.2, 1.0),
+                StateSpec("photon-added-coherent", beta=1.0 + 0.5j), 0.2, (0.3, 0.8),
                 id="photon-added-coherent",
             ),
             pytest.param(
@@ -175,17 +175,3 @@ class TestNumericConvolution:
         p0 = initial_p_function(StateSpec("squeezed-coherent", beta=0.8, squeeze=2.0))
         with pytest.raises(TypeError, match="singular"):
             convolve_p_numeric(p0, BathParams(gamma=0.5, nbar=2.0), 0.2, self.template())
-
-    def test_point_mass_kernel(self):
-        # A coherent input turns the propagator into a displaced Gaussian.
-        beta = 1.0 + 1.0j
-        bath = BathParams(gamma=1.0, nbar=1.0)
-        t = 0.6
-        scaled = scale_bath(bath, t)
-        numeric = convolve_p_numeric(GaussianP(beta, 0.0, 0.0), bath, t, self.template())
-        c = beta * scaled.decay_factor
-        X, Y = np.meshgrid(self.GRID, self.GRID, indexing="ij")
-        expected = np.exp(-((X - c.real) ** 2 + (Y - c.imag) ** 2) / scaled.nbar_t) / (
-            math.pi * scaled.nbar_t
-        )
-        np.testing.assert_allclose(numeric.values, expected, atol=1e-14)
