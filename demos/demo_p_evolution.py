@@ -29,7 +29,7 @@ mid = axis.size // 2
 print(f"{spec.family}, mbar={spec.mbar}; bath gamma={bath.gamma}, nbar={bath.nbar}\n")
 print("    t    P(0)         closed-vs-propagator max dev")
 for t in (0.2, 0.5, 1.0, 2.0):
-    form = evolve_p_closed_form(spec, bath, t).form
+    form = evolve_p_closed_form(spec, bath, t)
     closed = evaluate_p(form, axis[:, None], axis[None, :])
     numeric = convolve_p_numeric(initial_p_function(spec), bath, t, template)
     dev = float(np.max(np.abs(numeric.values - closed)))

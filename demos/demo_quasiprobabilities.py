@@ -1,7 +1,7 @@
 """The three quasiprobability layers of one state: P, Q, and Wigner.
 
 The evolved analytic P is smoothed into the Husimi Q and compared against the
-Q computed from an independently integrated density matrix; the Wigner
+Q computed from an independently propagated density matrix; the Wigner
 function comes from a Fourier transform of the symmetric characteristic
 function and shows the negativity that Q hides.
 
@@ -13,7 +13,6 @@ import numpy as np
 from phasebath import (
     BathParams,
     FockDensityMatrix,
-    LindbladSettings,
     PhaseSpaceGrid,
     StateSpec,
     evolve_p_closed_form,
@@ -29,13 +28,13 @@ bath = BathParams(gamma=0.5, nbar=1.0)
 t = 0.5
 axis = np.linspace(-3.0, 3.0, 41)
 
-ev = evolve_p_closed_form(spec, bath, t)
-rho = integrate(fock_density(spec, 60), LindbladSettings(60, 1e-3, bath), t, [t])[0]
+form = evolve_p_closed_form(spec, bath, t)
+rho = integrate(fock_density(spec, 60), bath, [t])[0]
 
-q_analytic = p_to_q_grid(ev.form, axis, axis)
+q_analytic = p_to_q_grid(form, axis, axis)
 q_numeric = husimi_q_grid(rho, axis, axis)
 print(f"{spec.family}, beta={spec.beta}; t={t}, bath nbar={bath.nbar}")
-print(f"Q (analytic-P route) vs Q (integrator route): "
+print(f"Q (analytic-P route) vs Q (Fock-basis route): "
       f"max dev {float(np.max(np.abs(q_analytic.values - q_numeric.values))):.3e}")
 print(f"Q mass on the window: {q_analytic.mass():.6f}")
 

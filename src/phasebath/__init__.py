@@ -1,15 +1,14 @@
 """Phase-space evolution of a damped bosonic mode in a thermal bath.
 
 Closed-form propagation of diagonal coherent-state weight functions and field
-observables, cross-validated against a truncated number-basis master-equation
-integrator and quasiprobability transforms.
+observables, cross-validated against the master equation solved exactly in a
+truncated number basis and against quasiprobability transforms.
 """
 
 from .core import (
     BathParams,
     ScaledBathParams,
     check_amplitude,
-    displace_amplitude,
     scale_bath,
     tricomi_u_half,
     u_series,
@@ -25,15 +24,12 @@ from .descriptors import (
     rescale_zero_temperature,
 )
 from .evolution import (
-    EvolvedPFunction,
     convolve_p_numeric,
     evolve_p_closed_form,
-    evolve_p_zero_temperature,
     evolved_moments,
 )
 from .fock import FockDensityMatrix
 from .lindblad import (
-    LindbladSettings,
     apply_liouvillian,
     husimi_q,
     husimi_q_grid,
@@ -44,7 +40,6 @@ from .quasiprob import (
     PhaseSpaceGrid,
     characteristic_function,
     p_to_q_grid,
-    p_to_q_smoothing,
     wigner_from_characteristic,
 )
 from .states import (

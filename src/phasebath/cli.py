@@ -20,7 +20,7 @@ from . import __version__
 from .core import BathParams
 from .descriptors import evaluate_p, singular_part
 from .evolution import evolve_p_closed_form, evolved_moments
-from .lindblad import LindbladSettings, integrate, moments_from_rho
+from .lindblad import integrate, moments_from_rho
 from .quasiprob import PhaseSpaceGrid, p_to_q_grid, wigner_from_characteristic
 from .states import (
     FAMILIES,
@@ -69,7 +69,6 @@ class RunConfig:
     output_dir: Path
     format: str = "csv"
     oracle_cutoff: int | None = None
-    oracle_step: float = 1e-3
     compare_tolerance: float = 1e-5
 
     def __post_init__(self) -> None:
@@ -104,7 +103,6 @@ class RunConfig:
             "outputs": list(self.outputs),
             "format": self.format,
             "oracle_cutoff": self.oracle_cutoff,
-            "oracle_step": self.oracle_step,
             "compare_tolerance": self.compare_tolerance,
         }
 
@@ -153,7 +151,7 @@ def _moments_record(t: float, m) -> dict:
 
 def run(config: RunConfig) -> int:
     """Execute one run; returns the process exit code."""
-    started = _time.time()
+    started = _time.perf_counter()
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = config.format
@@ -166,20 +164,16 @@ def run(config: RunConfig) -> int:
     trace_deficits: list[float] = []
     if needs_rho:
         cutoff = config.oracle_cutoff or default_cutoff(config.state, config.bath.nbar)
-        settings = LindbladSettings(cutoff, config.oracle_step, config.bath)
         rho0 = fock_density(config.state, cutoff)
-        trace_deficits.append(rho0.trace_deficit)
-        positive = [t for t in config.times if t > 0]
-        evolved = integrate(rho0, settings, config.times[-1], positive) if positive else []
-        by_time = dict(zip(positive, evolved))
-        rhos = [rho0 if t == 0 else by_time[t] for t in config.times]
-        trace_deficits.extend(r.trace_deficit for r in rhos if r is not rho0)
+        rhos = integrate(rho0, config.bath, config.times)
+        evolved = [r for t, r in zip(config.times, rhos) if t > 0]
+        trace_deficits = [rho0.trace_deficit] + [r.trace_deficit for r in evolved]
 
     files: list[str] = []
     compare_rows: list[dict] = []
     worst_dev = 0.0
     for idx, t in enumerate(config.times):
-        form = evolve_p_closed_form(config.state, config.bath, t).form if needs_p else None
+        form = evolve_p_closed_form(config.state, config.bath, t) if needs_p else None
         mt = evolved_moments(m0, config.bath, t)
         for artifact in config.outputs:
             name = f"{artifact}-{idx:03d}.{ext}"
@@ -232,7 +226,7 @@ def run(config: RunConfig) -> int:
         "oracle_compare": {"worst_deviation": worst_dev, "tolerance": config.compare_tolerance}
         if compare_rows
         else None,
-        "wall_time_seconds": _time.time() - started,
+        "wall_time_seconds": _time.perf_counter() - started,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -294,7 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--format", choices=("csv", "json"), help="data file format")
     run_p.add_argument("--outputs", help=f"comma-separated artifacts from: {', '.join(ARTIFACTS)}")
     run_p.add_argument("--oracle-cutoff", type=int, help="basis size for the numeric reference")
-    run_p.add_argument("--oracle-step", type=float, help="integrator step for the numeric reference")
     run_p.add_argument(
         "--compare",
         nargs="?",
@@ -317,16 +310,27 @@ _DEFAULTS = {
     "out": "phasebath-out",
     "format": "csv",
     "outputs": "q-grid,moments",
-    "oracle_step": 1e-3,
 }
+
+
+#: run settings that a flag and a config-file key can both give
+_FLAG_KEYS = ("state", "beta_re", "beta_im", "mbar", "squeeze", "gamma", "nbar",
+              "times", "grid", "out", "format", "outputs", "oracle_cutoff")
+_CONFIG_KEYS = _FLAG_KEYS + ("family", "compare_tolerance")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     fields: dict = dict(_DEFAULTS)
     if args.config is not None:
-        fields.update(_parse_config_file(args.config))
-    for key in ("state", "beta_re", "beta_im", "mbar", "squeeze", "gamma", "nbar",
-                "times", "grid", "out", "format", "outputs", "oracle_cutoff", "oracle_step"):
+        from_file = _parse_config_file(args.config)
+        unknown = [key for key in from_file if key not in _CONFIG_KEYS]
+        if unknown:
+            raise ValueError(
+                f"unknown config key {unknown[0]!r} in {args.config}; "
+                f"choose from {', '.join(_CONFIG_KEYS)}"
+            )
+        fields.update(from_file)
+    for key in _FLAG_KEYS:
         value = getattr(args, key)
         if value is not None:
             fields[key] = value
@@ -361,7 +365,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         output_dir=Path(fields["out"]),
         format=str(fields["format"]),
         oracle_cutoff=int(oracle_cutoff) if oracle_cutoff is not None else None,
-        oracle_step=float(fields["oracle_step"]),
         compare_tolerance=compare_tol if compare_tol is not None else 1e-5,
     )
 

@@ -18,7 +18,6 @@ __all__ = [
     "ScaledBathParams",
     "check_amplitude",
     "scale_bath",
-    "displace_amplitude",
     "tricomi_u_half",
 ]
 
@@ -64,11 +63,6 @@ def scale_bath(params: BathParams, t: float) -> ScaledBathParams:
         raise ValueError(f"elapsed time must be nonnegative and finite, got {t}")
     decay = math.exp(-params.gamma * t)
     return ScaledBathParams(decay, params.nbar * (1.0 - decay * decay), float(t))
-
-
-def displace_amplitude(beta, scaled: ScaledBathParams) -> complex:
-    """Amplitude of an initially coherent field after damping: beta e^{-gamma t}."""
-    return check_amplitude(beta) * scaled.decay_factor
 
 
 def _laguerre_half_all(order: int, x) -> np.ndarray:

@@ -17,50 +17,28 @@ law, by convolving its regular image at a later time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BathParams, ScaledBathParams, scale_bath
-from .descriptors import SampledGridP, evaluate_p, is_regular, rescale_zero_temperature
+from .core import BathParams, scale_bath
+from .descriptors import SampledGridP, evaluate_p, is_regular
 from .quadrature import adaptive_gauss_legendre_1d
 from .quasiprob import PhaseSpaceGrid
 from .states import MomentSet, StateSpec, initial_p_function
 
 __all__ = [
-    "EvolvedPFunction",
     "convolve_p_numeric",
     "evolve_p_closed_form",
-    "evolve_p_zero_temperature",
     "evolved_moments",
 ]
 
 
-@dataclass(frozen=True)
-class EvolvedPFunction:
-    """A propagated weight function together with its provenance."""
-
-    spec: StateSpec
-    scaled: ScaledBathParams
-    form: object
-
-
-def evolve_p_zero_temperature(p0, gamma: float, t: float):
-    """Pure-decay evolution: P_t(alpha) = P0(alpha e^{gamma t}) e^{2 gamma t}."""
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return rescale_zero_temperature(p0, math.exp(-gamma * t))
-
-
-def evolve_p_closed_form(spec: StateSpec, bath: BathParams, t: float) -> EvolvedPFunction:
-    """Closed-form propagated weight function for every catalog family."""
+def evolve_p_closed_form(spec: StateSpec, bath: BathParams, t: float):
+    """Closed-form propagated weight function, a descriptor, for every catalog family."""
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be nonnegative, got {t}")
     scaled = scale_bath(bath, t)
-    form = initial_p_function(spec).convolved(scaled.decay_factor, scaled.nbar_t)
-    return EvolvedPFunction(spec, scaled, form)
+    return initial_p_function(spec).convolved(scaled.decay_factor, scaled.nbar_t)
 
 
 def evolved_moments(m0: MomentSet, bath: BathParams, t: float) -> MomentSet:

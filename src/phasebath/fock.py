@@ -30,17 +30,19 @@ def annihilation(cutoff: int) -> np.ndarray:
 
 
 def coherent_vector(beta, cutoff: int) -> np.ndarray:
-    """Number-basis amplitudes of |beta>, truncated."""
-    beta = check_amplitude(beta)
+    """Number-basis amplitudes of |beta>, truncated; an array of amplitudes
+    gives one row per amplitude."""
+    beta = np.asarray(beta, dtype=complex)
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("amplitudes must have finite components")
     n = np.arange(cutoff)
-    logfact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1.0, cutoff)))))
-    mag = np.exp(-0.5 * abs(beta) ** 2 + n * np.log(max(abs(beta), 1e-300)) - 0.5 * logfact)
-    if abs(beta) == 0.0:
-        vec = np.zeros(cutoff, dtype=complex)
-        vec[0] = 1.0
-        return vec
-    phase = np.exp(1j * n * np.angle(beta))
-    return mag * phase
+    logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, cutoff)))))
+    mag = np.abs(beta)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = n * np.log(mag)
+    logs[..., 0] = 0.0  # 0^0 = 1 at beta = 0
+    phase = np.exp(1j * n * np.angle(beta)[..., None])
+    return np.exp(-0.5 * mag**2 + logs - 0.5 * logfact) * phase
 
 
 def displacement_matrix(beta, cutoff: int) -> np.ndarray:

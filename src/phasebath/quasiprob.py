@@ -2,12 +2,14 @@
 and the Fourier route to the symmetric-ordering distribution.
 
 These are the verification bridge between the phase-space evolution engine and
-the number-basis integrator.  The antinormal distribution Q(alpha) is the
+the number-basis oracle.  The antinormal distribution Q(alpha) is the
 bath map of ``descriptors`` at decay 1 and width 1, ``p.convolved(1.0, 1.0)``,
 evaluated pointwise; a sampled P is smoothed by quadrature instead.  Q also
 equals (1/pi) <alpha|rho|alpha> computed from a density matrix, and the
 Wigner function comes from the density matrix alone, by Fourier transform of
-the symmetric characteristic function.
+the symmetric characteristic function.  That function is summed over the
+diagonals of the density matrix as a Laguerre series in |xi|^2, for a whole
+grid of xi at once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_amplitude
 from .descriptors import SampledGridP, checked_grid, evaluate_p
 from .fock import FockDensityMatrix
 from .quadrature import gauss_legendre_nodes
@@ -27,11 +28,12 @@ __all__ = [
     "PhaseSpaceGrid",
     "characteristic_function",
     "p_to_q_grid",
-    "p_to_q_smoothing",
     "wigner_from_characteristic",
 ]
 
-ORDERINGS = ("normal", "symmetric", "antinormal")
+# chi_ordering(xi) = chi_normal(xi) e^{c |xi|^2}, with c per ordering
+_ORDER_EXPONENT = {"normal": 0.0, "symmetric": -0.5, "antinormal": -1.0}
+ORDERINGS = tuple(_ORDER_EXPONENT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,53 +61,58 @@ class PhaseSpaceGrid:
         return np.meshgrid(self.x_axis, self.y_axis, indexing="ij")
 
 
-def _ordered_exponentials(xi: complex, cutoff: int):
-    """Matrices for exp(xi a^dag) (lower triangular) and exp(-xi* a) (upper).
-
-    <m| e^{z a^dag} |n> = sqrt(m!/n!) z^{m-n}/(m-n)! for m >= n; the lowering
-    exponential is the transpose pattern with z = -xi*.
-    """
-    idx = np.arange(cutoff)
-    logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, cutoff)))))
-    diff = idx[:, None] - idx[None, :]  # row - column
-    k = np.where(diff >= 0, diff, 0)
-
-    def tri(z: complex) -> np.ndarray:
-        mat = np.exp(0.5 * (logfact[:, None] - logfact[None, :]) - logfact[k]) * z**k
-        return np.where(diff >= 0, mat, 0.0)
-
-    return tri(xi), tri(-np.conj(xi)).T
-
-
-def characteristic_function(
-    rho: FockDensityMatrix, xi, ordering: str = "normal"
-) -> complex:
-    """Trace of rho against the ordered displacement exponential.
+def characteristic_function(rho: FockDensityMatrix, xi, ordering: str = "normal"):
+    """Trace of rho against the ordered displacement exponential, at a scalar
+    or an array of xi.
 
     The three orderings are related by chi_normal = chi_symmetric e^{|xi|^2/2}
-    = chi_antinormal e^{|xi|^2}.
+    = chi_antinormal e^{|xi|^2}.  chi_symmetric = Tr[rho D(xi)] is summed one
+    diagonal k = m - n at a time (Cahill & Glauber, Phys. Rev. 177, 1857
+    (1969)): with x = |xi|^2,
+
+        <n+k|D(xi)|n> = sqrt(n!/(n+k)!) xi^k e^{-x/2} L_n^(k)(x),
+
+    and <n|D(xi)|n+k> is the same with (-xi*)^k.  The Laguerre recurrence
+    runs over the whole xi array at once, one diagonal after another.
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
-    xi = check_amplitude(xi)
-    if abs(xi) ** 2 >= rho.cutoff / 4.0:
+    xi = np.asarray(xi, dtype=complex)
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("xi must have finite components")
+    cutoff = rho.cutoff
+    x = np.abs(xi) ** 2
+    if np.max(x, initial=0.0) >= cutoff / 4.0:
         warnings.warn(
-            f"|xi|^2 = {abs(xi)**2:.2f} close to the cutoff {rho.cutoff}; "
+            f"|xi|^2 = {np.max(x):.2f} close to the cutoff {cutoff}; "
             "truncation error may be significant",
             RuntimeWarning,
             stacklevel=2,
         )
-    raising, lowering = _ordered_exponentials(xi, rho.cutoff)
-    chi = complex(np.sum((rho.elements @ raising) * lowering.T))
-    if ordering == "symmetric":
-        chi *= math.exp(-0.5 * abs(xi) ** 2)
-    elif ordering == "antinormal":
-        chi *= math.exp(-abs(xi) ** 2)
-    return chi
+    el = np.asarray(rho.elements)
+    # xi^k / sqrt(k!) times e^{c x}, built up over k.
+    prefactor = np.exp(_ORDER_EXPONENT[ordering] * x)
+    chi = np.zeros_like(xi)
+    for k in range(cutoff):
+        if k:
+            prefactor = prefactor * xi / math.sqrt(k)
+        ratios = np.arange(1.0, cutoff - k) / np.arange(k + 1.0, cutoff)
+        # rho[n, n+k] sqrt(n! k!/(n+k)!), paired with <n+k|D|n>
+        coeffs = np.sqrt(np.cumprod(np.concatenate(([1.0], ratios)))) * el.diagonal(k)
+        total = np.zeros_like(xi)
+        lag_prev, lag = np.zeros_like(x), np.ones_like(x)  # L_{n-1}^(k)(x), L_n^(k)(x)
+        for n, coeff in enumerate(coeffs):
+            total += coeff * lag
+            lag_prev, lag = lag, ((2 * n + 1 + k - x) * lag - (n + k) * lag_prev) / (n + 1)
+        term = prefactor * total
+        # rho is Hermitian, so diagonal -k adds (-1)^k times the conjugate.
+        chi += term + (-1) ** k * np.conj(term) if k else term
+    return complex(chi) if chi.ndim == 0 else chi
 
 
 def _q_values(p, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Q(alpha) = (1/pi) integral P(beta) e^{-|alpha-beta|^2} d2beta."""
+    """Q(alpha) = (1/pi) integral P(beta) e^{-|alpha-beta|^2} d2beta on the
+    grid of an x column X and a y row Y."""
     if isinstance(p, PhaseSpaceGrid):
         p = SampledGridP(p.x_axis, p.y_axis, p.values)
     if not isinstance(p, SampledGridP):
@@ -114,17 +121,9 @@ def _q_values(p, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     xs, wx = gauss_legendre_nodes(float(p.x_axis[0]), float(p.x_axis[-1]), 4 * p.x_axis.size)
     ys, wy = gauss_legendre_nodes(float(p.y_axis[0]), float(p.y_axis[-1]), 4 * p.y_axis.size)
     pv = evaluate_p(p, xs[:, None], ys[None, :])
-    kx = np.exp(-((np.asarray(X, dtype=float).ravel()[:, None] - xs[None, :]) ** 2)) * wx
-    ky = np.exp(-((np.asarray(Y, dtype=float).ravel()[:, None] - ys[None, :]) ** 2)) * wy
-    out = kx @ pv @ ky.T / math.pi
-    return out.reshape(np.broadcast(X, Y).shape) if np.ndim(X) else out[0, 0]
-
-
-def p_to_q_smoothing(p, alpha) -> float:
-    """Antinormal distribution value at one phase-space point."""
-    alpha = check_amplitude(alpha)
-    value = _q_values(p, np.float64(alpha.real), np.float64(alpha.imag))
-    return float(value)
+    kx = np.exp(-((X.ravel()[:, None] - xs[None, :]) ** 2)) * wx
+    ky = np.exp(-((Y.ravel()[:, None] - ys[None, :]) ** 2)) * wy
+    return kx @ pv @ ky.T / math.pi
 
 
 def p_to_q_grid(p, x_axis, y_axis, meta: dict | None = None) -> PhaseSpaceGrid:
@@ -155,16 +154,11 @@ def wigner_from_characteristic(rho: FockDensityMatrix, grid: PhaseSpaceGrid) -> 
     wxi = np.full(n, xi[1] - xi[0])
     wxi[0] = wxi[-1] = 0.5 * (xi[1] - xi[0])
 
-    chi = np.empty((n, n), dtype=complex)
-    # Per-point truncation warnings are redundant here: the mass check below
-    # catches any cutoff that is genuinely too small for this grid.
+    # The truncation warning is redundant here: the mass check below catches
+    # any cutoff that is genuinely too small for this grid.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for p_idx in range(n):
-            for q_idx in range(n):
-                chi[p_idx, q_idx] = characteristic_function(
-                    rho, complex(xi[p_idx], xi[q_idx]), "symmetric"
-                )
+        chi = characteristic_function(rho, xi[:, None] + 1j * xi[None, :], "symmetric")
 
     phase_x = np.exp(-2j * np.outer(x, xi)) * wxi  # sums over xi_i
     phase_y = np.exp(2j * np.outer(y, xi)) * wxi  # sums over xi_r

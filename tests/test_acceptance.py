@@ -1,8 +1,8 @@
 """Acceptance gate: one test per release criterion, each printing PASS/FAIL.
 
 Every criterion checks the analytic phase-space machinery against an
-independent route (the truncated-basis integrator, exact rational recurrences,
-or closed-form special cases) at the stated tolerance.
+independent route (the exact truncated-basis propagator, exact rational
+recurrences, or closed-form special cases) at the stated tolerance.
 """
 
 import math
@@ -14,7 +14,6 @@ from numpy.polynomial.legendre import leggauss
 
 from phasebath import (
     BathParams,
-    LindbladSettings,
     PhaseSpaceGrid,
     StateSpec,
     apply_liouvillian,
@@ -53,15 +52,14 @@ def report(criterion: int, label: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_moment_laws():
-    """Analytic observable evolution vs the truncated-basis integrator."""
+    """Analytic observable evolution vs the exact truncated-basis propagator."""
     times = [0.0, 0.2, 0.5, 1.0, 3.0]
     worst = 0.0
     for nbar in (0.0, 0.5, 2.0):
         bath = BathParams(gamma=0.5, nbar=nbar)
         for spec in CATALOG:
             rho0 = fock_density(spec, 60)
-            settings = LindbladSettings(60, 1e-3, bath)
-            states = [rho0] + integrate(rho0, settings, times[-1], times[1:])
+            states = integrate(rho0, bath, times)
             m0 = initial_moments(spec)
             for t, rho in zip(times, states):
                 mt = evolved_moments(m0, bath, t)
@@ -98,10 +96,10 @@ def test_criterion_2_convolution_vs_closed_forms():
         (StateSpec("photon-added-coherent", beta=1.2 + 0.4j), 0.2, (0.3, 0.8)),
         (StateSpec("squeezed-coherent", beta=1.0, squeeze=2.0), 0.2, (0.3, 0.8)),
     ):
-        start = evolve_p_closed_form(spec, bath, t1).form
+        start = evolve_p_closed_form(spec, bath, t1)
         for dt in steps:
             closed = evaluate_p(
-                evolve_p_closed_form(spec, bath, t1 + dt).form, axis[:, None], axis[None, :]
+                evolve_p_closed_form(spec, bath, t1 + dt), axis[:, None], axis[None, :]
             )
             numeric = convolve_p_numeric(start, bath, dt, template)
             worst = max(worst, float(np.max(np.abs(numeric.values - closed))))
@@ -111,7 +109,7 @@ def test_criterion_2_convolution_vs_closed_forms():
 
 
 def test_criterion_3_end_to_end_chain():
-    """Smoothing of the evolved analytic P vs the integrator's Q on a grid."""
+    """Smoothing of the evolved analytic P vs the propagated state's Q on a grid."""
     bath = BathParams(gamma=0.5, nbar=1.0)
     t = 0.5
     axis = np.linspace(-3.0, 3.0, 41)
@@ -121,9 +119,9 @@ def test_criterion_3_end_to_end_chain():
         StateSpec("photon-added-coherent", beta=1.0 + 0.5j),
         StateSpec("squeezed-coherent", beta=0.8, squeeze=2.0),
     ):
-        ev = evolve_p_closed_form(spec, bath, t)
-        rho = integrate(fock_density(spec, 60), LindbladSettings(60, 1e-3, bath), t, [t])[0]
-        smoothed = p_to_q_grid(ev.form, axis, axis)
+        form = evolve_p_closed_form(spec, bath, t)
+        rho = integrate(fock_density(spec, 60), bath, [t])[0]
+        smoothed = p_to_q_grid(form, axis, axis)
         direct = husimi_q_grid(rho, axis, axis)
         worst = max(worst, float(np.max(np.abs(smoothed.values - direct.values))))
     ok = worst < 1e-5
@@ -132,7 +130,7 @@ def test_criterion_3_end_to_end_chain():
 
 
 def test_criterion_4_zero_temperature_rescaling():
-    """Pure-decay descriptor rescaling vs integrator Fock populations."""
+    """Pure-decay descriptor rescaling vs propagated Fock populations."""
     bath = BathParams(gamma=1.0, nbar=0.0)
     t = 0.7
     eta = math.exp(-bath.gamma * t)
@@ -140,7 +138,7 @@ def test_criterion_4_zero_temperature_rescaling():
     for spec in (StateSpec("thermal", mbar=1.2), StateSpec("photon-added-thermal", mbar=1.0)):
         rescaled = rescale_zero_temperature(initial_p_function(spec), eta)
         pops = fock_populations(rescaled, 60)
-        rho = integrate(fock_density(spec, 60), LindbladSettings(60, 1e-3, bath), t, [t])[0]
+        rho = integrate(fock_density(spec, 60), bath, [t])[0]
         worst = max(worst, float(np.max(np.abs(pops - np.real(np.diagonal(rho.elements))))))
     ok = worst < 1e-8
     report(4, "zero-temperature rescaling law", ok, f"worst dev {worst:.3e}")
@@ -155,7 +153,7 @@ def test_criterion_5_thermal_stationarity():
         spec = StateSpec("thermal", mbar=nbar)
         bath = BathParams(gamma=1.0, nbar=nbar)
         for t in (0.3, 1.0, 4.0):
-            form = evolve_p_closed_form(spec, bath, t).form
+            form = evolve_p_closed_form(spec, bath, t)
             ref = initial_p_function(spec)
             # A GaussianP is fixed by its centre and widths, so these are
             # all its coefficients.
@@ -193,7 +191,7 @@ def test_criterion_6_normalization_and_physicality():
     for spec in CATALOG:
         m0 = initial_moments(spec)
         for t in (0.2, 0.5, 1.0, 3.0):
-            form = evolve_p_closed_form(spec, bath, t).form
+            form = evolve_p_closed_form(spec, bath, t)
             if is_regular(form):
                 half = abs(form.center) + 8.0 * math.sqrt(form.width)
                 u = nodes * half
@@ -223,14 +221,12 @@ def test_criterion_6_normalization_and_physicality():
 
 
 def test_criterion_7_mandel_q_sweep():
-    """Analytic number-statistics curve vs the integrator, with sign structure."""
+    """Analytic number-statistics curve vs the propagator, with sign structure."""
     spec = StateSpec("photon-added-thermal", mbar=1.0)
     bath = BathParams(gamma=1.0, nbar=0.5)
     times = np.linspace(0.0, 5.0, 26)
     rho0 = fock_density(spec, 60)
-    states = [rho0] + integrate(
-        rho0, LindbladSettings(60, 1e-3, bath), float(times[-1]), list(times[1:])
-    )
+    states = integrate(rho0, bath, times)
     m0 = initial_moments(spec)
     analytic = np.array([evolved_moments(m0, bath, float(t)).mandel_q() for t in times])
     oracle = np.array([moments_from_rho(r).mandel_q() for r in states])

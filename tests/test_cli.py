@@ -8,7 +8,6 @@ import pytest
 
 from phasebath import (
     BathParams,
-    LindbladSettings,
     StateSpec,
     fock_density,
     husimi_q_grid,
@@ -138,6 +137,26 @@ class TestRunContract:
         assert main(["run", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "q-grid-000.csv").exists()
 
+    def test_unknown_config_key_is_an_error(self, tmp_path, capsys):
+        # A typo must not silently run at the default bath occupation.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("state=thermal\nmbar=1\nnbr=0.5\ntimes=0.5\noutputs=moments\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config key 'nbr'") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_stale_oracle_step_key_is_an_error(self, tmp_path, capsys):
+        # The exact propagator has no step; an old config naming one fails loudly.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "state=coherent\nbeta_re=1\ntimes=0.5\noutputs=moments\noracle_step=0.001\n"
+        )
+        args = ["run", "--config", str(cfg), "--compare", "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config key 'oracle_step'") and err.count("\n") == 1
+
     def test_singular_p_grid_is_an_error(self, tmp_path, capsys):
         code = main(
             [
@@ -190,6 +209,21 @@ class TestRunContract:
         )
         assert code == 0
 
+    def test_trace_drift_guard_names_the_cutoff(self, tmp_path, capsys):
+        # At cutoff 24 the hot bath fills the mode past the basis.
+        code = main(
+            [
+                "run", "--state", "photon-added-thermal", "--mbar", "1",
+                "--gamma", "0.5", "--nbar", "2", "--times", "0.5,1",
+                "--outputs", "moments", "--compare", "--oracle-cutoff", "24",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace drifted") and err.count("\n") == 1
+        assert "cutoff (24)" in err and "step" not in err
+
     def test_numerical_guard_failure_is_an_error(self, tmp_path, capsys):
         # The Wigner transform's norm check fails on this window.
         code = main(
@@ -218,7 +252,7 @@ class TestRunContract:
         assert code == 0
         spec = StateSpec("photon-added-coherent", beta=1.0)
         bath = BathParams(gamma=0.5, nbar=0.0)
-        rho = integrate(fock_density(spec, 60), LindbladSettings(60, 1e-3, bath), 0.5, [0.5])[0]
+        rho = integrate(fock_density(spec, 60), bath, [0.5])[0]
         axis = GridSpec().axis()
         expected = husimi_q_grid(rho, axis, axis).values
         q = read_grid_csv(tmp_path / "out" / "q-grid-001.csv")[:, 2].reshape(expected.shape)

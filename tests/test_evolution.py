@@ -11,17 +11,18 @@ from phasebath import (
     convolve_p_numeric,
     evaluate_p,
     evolve_p_closed_form,
-    evolve_p_zero_temperature,
     evolved_moments,
     initial_moments,
     initial_p_function,
+    rescale_zero_temperature,
 )
 from phasebath.descriptors import GaussianP, GaussianPolyP
 
 
 class TestZeroTemperatureLaw:
     def test_point_mass_spirals_inward(self):
-        ev = evolve_p_zero_temperature(GaussianP(2.0 + 0j, 0.0, 0.0), gamma=1.0, t=math.log(2.0))
+        # eta = e^{-gamma t} = 1/2 at gamma = 1, t = ln 2
+        ev = rescale_zero_temperature(GaussianP(2.0 + 0j, 0.0, 0.0), math.exp(-math.log(2.0)))
         assert isinstance(ev, GaussianP)
         assert ev.center == pytest.approx(1.0 + 0j)
         assert ev.width_x == ev.width_y == 0.0
@@ -29,7 +30,7 @@ class TestZeroTemperatureLaw:
     def test_gaussian_contracts_and_renormalizes(self):
         mbar = 1.0
         g = GaussianP(center=0j, width_x=mbar, width_y=mbar)
-        ev = evolve_p_zero_temperature(g, gamma=0.5, t=1.0)
+        ev = rescale_zero_temperature(g, math.exp(-0.5 * 1.0))
         eta2 = math.exp(-1.0)
         assert ev.width_x == ev.width_y == pytest.approx(mbar * eta2)
         # Peak value rises by 1/eta^2 so the mass stays unity.
@@ -99,8 +100,7 @@ class TestClosedFormDistributions:
         # coefficient is (mbar + 1) eta^2 / (pi w^3) = 2 * 0.25 / (pi 1.75^3).
         spec = StateSpec("photon-added-thermal", mbar=1.0)
         bath = BathParams(gamma=1.0, nbar=2.0)
-        ev = evolve_p_closed_form(spec, bath, math.log(2.0))
-        form = ev.form
+        form = evolve_p_closed_form(spec, bath, math.log(2.0))
         assert isinstance(form, GaussianPolyP)
         w = 1.75
         quad = 2.0 * 0.25 / (math.pi * w**3)
@@ -114,16 +114,16 @@ class TestClosedFormDistributions:
         nbar = 1.3
         spec = StateSpec("thermal", mbar=nbar)
         bath = BathParams(gamma=0.9, nbar=nbar)
-        ev = evolve_p_closed_form(spec, bath, 0.8)
+        form = evolve_p_closed_form(spec, bath, 0.8)
         x = np.linspace(-4, 4, 41)
         before = evaluate_p(initial_p_function(spec), x[:, None], x[None, :])
-        after = evaluate_p(ev.form, x[:, None], x[None, :])
+        after = evaluate_p(form, x[:, None], x[None, :])
         np.testing.assert_allclose(after, before, atol=1e-14)
 
     def test_time_zero_returns_initial_form(self):
         spec = StateSpec("photon-added-coherent", beta=1.0)
-        ev = evolve_p_closed_form(spec, BathParams(gamma=1.0, nbar=1.0), 0.0)
-        assert ev.form.kind == initial_p_function(spec).kind
+        form = evolve_p_closed_form(spec, BathParams(gamma=1.0, nbar=1.0), 0.0)
+        assert form.kind == initial_p_function(spec).kind
 
 
 class TestNumericConvolution:
@@ -161,10 +161,10 @@ class TestNumericConvolution:
     )
     def test_matches_closed_form(self, spec, t1, steps):
         bath = BathParams(gamma=0.5, nbar=2.0)
-        start = evolve_p_closed_form(spec, bath, t1).form
+        start = evolve_p_closed_form(spec, bath, t1)
         for dt in steps:
             closed = evaluate_p(
-                evolve_p_closed_form(spec, bath, t1 + dt).form,
+                evolve_p_closed_form(spec, bath, t1 + dt),
                 self.GRID[:, None],
                 self.GRID[None, :],
             )

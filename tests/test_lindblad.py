@@ -1,4 +1,4 @@
-"""Truncated number-basis reference integrator for the damped mode."""
+"""Exact truncated number-basis propagator for the damped mode."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from phasebath import (
     BathParams,
     FockDensityMatrix,
-    LindbladSettings,
     StateSpec,
     apply_liouvillian,
     fock_density,
@@ -18,6 +17,7 @@ from phasebath import (
     moments_from_rho,
 )
 from phasebath.fock import thermal_populations
+from phasebath.lindblad import _diagonal_generator
 
 
 def thermal_rho(mbar: float, cutoff: int) -> FockDensityMatrix:
@@ -58,23 +58,13 @@ class TestIntegration:
     def test_coherent_stays_coherent_at_zero_temperature(self):
         bath = BathParams(gamma=1.0, nbar=0.0)
         t = 0.5
-        rho_t = integrate(
-            fock_density(StateSpec("coherent", beta=1.5), 40),
-            LindbladSettings(40, 1e-3, bath),
-            t,
-            [t],
-        )[0]
+        rho_t = integrate(fock_density(StateSpec("coherent", beta=1.5), 40), bath, [t])[0]
         target = fock_density(StateSpec("coherent", beta=1.5 * math.exp(-t)), 40)
         assert np.max(np.abs(rho_t.elements - target.elements)) < 1e-9
 
     def test_relaxes_to_bath_thermal_state(self):
         bath = BathParams(gamma=1.0, nbar=0.7)
-        rho_t = integrate(
-            fock_density(StateSpec("coherent", beta=1.0), 60),
-            LindbladSettings(60, 1e-3, bath),
-            12.0,
-            [12.0],
-        )[0]
+        rho_t = integrate(fock_density(StateSpec("coherent", beta=1.0), 60), bath, [12.0])[0]
         np.testing.assert_allclose(
             np.real(np.diagonal(rho_t.elements)), thermal_populations(0.7, 60), atol=1e-7
         )
@@ -88,46 +78,62 @@ class TestIntegration:
         t = 0.7
         from phasebath import evolved_moments, initial_moments
 
-        rho_t = integrate(
-            fock_density(spec, 70), LindbladSettings(70, 1e-3, bath), t, [t]
-        )[0]
+        rho_t = integrate(fock_density(spec, 70), bath, [t])[0]
         mt = evolved_moments(initial_moments(spec), bath, t)
         mo = moments_from_rho(rho_t)
         assert abs(mt.mean_a - mo.mean_a) < 1e-8
         assert mt.mean_n == pytest.approx(mo.mean_n, abs=1e-8)
         assert mt.var_x == pytest.approx(mo.var_x, abs=1e-8)
 
-    def test_fourth_order_step_convergence(self):
-        spec = StateSpec("coherent", beta=1.0)
-        bath = BathParams(gamma=1.0, nbar=0.5)
-        t = 0.4
-        exact = integrate(
-            fock_density(spec, 30), LindbladSettings(30, 1e-4, bath), t, [t]
-        )[0].elements
+    @pytest.mark.parametrize("nbar", [0.0, 1.5])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            StateSpec("coherent", beta=1.2 - 0.7j),
+            StateSpec("photon-added-coherent", beta=0.9 + 0.4j),
+            StateSpec("squeezed-coherent", beta=0.6 + 0.3j, squeeze=2.0),
+        ],
+        ids=lambda s: s.family,
+    )
+    def test_diagonal_generators_reproduce_liouvillian(self, spec, nbar):
+        bath = BathParams(gamma=0.8, nbar=nbar)
+        rho = fock_density(spec, 40)
+        el = np.asarray(rho.elements)
+        by_diagonal = np.zeros_like(el)
+        for k in range(-39, 40):
+            idx = np.arange(40 - abs(k))
+            rows, cols = (idx, idx + k) if k >= 0 else (idx - k, idx)
+            by_diagonal[rows, cols] = _diagonal_generator(abs(k), 40, bath) @ el.diagonal(k)
+        assert np.max(np.abs(by_diagonal - apply_liouvillian(rho, bath))) < 1e-14
 
-        def err(step):
-            rho = integrate(
-                fock_density(spec, 30), LindbladSettings(30, step, bath), t, [t]
-            )[0].elements
-            return np.max(np.abs(rho - exact))
-
-        ratio = err(0.004) / err(0.002)
-        assert 12.0 < ratio < 20.0  # fourth-order: halving the step gains ~16x
+    def test_semigroup_law(self):
+        spec = StateSpec("photon-added-coherent", beta=1.0 + 0.5j)
+        bath = BathParams(gamma=0.7, nbar=0.8)
+        rho0 = fock_density(spec, 50)
+        t1, t2 = 0.3, 0.45
+        stepwise = integrate(integrate(rho0, bath, [t1])[0], bath, [t2])[0]
+        direct = integrate(rho0, bath, [t1 + t2])[0]
+        assert np.max(np.abs(stepwise.elements - direct.elements)) < 1e-12
 
     def test_sample_times_align(self):
         bath = BathParams(gamma=1.0, nbar=0.3)
         times = [0.1, 0.25, 0.6]
-        states = integrate(
-            fock_density(StateSpec("thermal", mbar=0.4), 40),
-            LindbladSettings(40, 1e-3, bath),
-            0.6,
-            times,
-        )
+        rho0 = fock_density(StateSpec("thermal", mbar=0.4), 40)
+        states = integrate(rho0, bath, times)
         assert len(states) == len(times)
+        for t, state in zip(times, states):
+            alone = integrate(rho0, bath, [t])[0]
+            assert np.array_equal(state.elements, alone.elements)
 
-    def test_step_stability_guard(self):
+    def test_zero_time_is_the_initial_state(self):
+        rho0 = fock_density(StateSpec("squeezed-coherent", beta=0.5j, squeeze=0.5), 30)
+        rho = integrate(rho0, BathParams(gamma=1.0, nbar=0.5), [0.0])[0]
+        assert np.array_equal(rho.elements, rho0.elements)
+
+    def test_rejects_negative_time(self):
+        rho0 = fock_density(StateSpec("thermal", mbar=0.4), 20)
         with pytest.raises(ValueError):
-            LindbladSettings(200, 0.1, BathParams(gamma=5.0, nbar=3.0))
+            integrate(rho0, BathParams(gamma=1.0, nbar=0.3), [-0.1])
 
 
 class TestHusimi:

@@ -16,12 +16,17 @@ from phasebath import (
     husimi_q_grid,
     initial_p_function,
     integrate,
-    LindbladSettings,
     p_to_q_grid,
-    p_to_q_smoothing,
     wigner_from_characteristic,
 )
 from phasebath.descriptors import GaussianP
+from phasebath.fock import displacement_matrix
+
+
+def q_at(desc, alpha: complex) -> float:
+    """Q at one point: the first point of a two-by-two p_to_q_grid."""
+    grid = p_to_q_grid(desc, [alpha.real, alpha.real + 1.0], [alpha.imag, alpha.imag + 1.0])
+    return float(grid.values[0, 0])
 
 
 def square_grid(half: float, n: int) -> PhaseSpaceGrid:
@@ -59,6 +64,18 @@ class TestCharacteristicFunction:
         for ordering in ("normal", "symmetric", "antinormal"):
             assert characteristic_function(rho, 0.0, ordering) == pytest.approx(1.0)
 
+    def test_array_matches_trace_against_displacement(self):
+        # Reference: Tr[rho D(xi)] with D(xi) from a matrix exponential in a
+        # basis large enough that its leading block is exact to roundoff.
+        rho = fock_density(StateSpec("photon-added-coherent", beta=0.6 - 0.3j), 24)
+        xi = np.array([[0.0, 0.4 + 0.3j, -1.1 + 0.2j], [0.7j, -0.5 - 0.9j, 1.3 - 0.6j]])
+        chi = characteristic_function(rho, xi, "symmetric")
+        assert chi.shape == xi.shape
+        for z, value in zip(xi.ravel(), chi.ravel()):
+            block = displacement_matrix(z, 90)[:24, :24]
+            assert abs(value - np.trace(rho.elements @ block)) < 1e-12
+            assert value == characteristic_function(rho, z, "symmetric")
+
     def test_rejects_unknown_ordering(self):
         rho = fock_density(StateSpec("coherent", beta=0.0), 10)
         with pytest.raises(ValueError):
@@ -71,14 +88,14 @@ class TestSmoothing:
         desc = GaussianP(beta, 0.0, 0.0)
         for alpha in (0.0 + 0j, 0.5 - 0.5j):
             expected = math.exp(-abs(alpha - beta) ** 2) / math.pi
-            assert p_to_q_smoothing(desc, alpha) == pytest.approx(expected, rel=1e-12)
+            assert q_at(desc, alpha) == pytest.approx(expected, rel=1e-12)
 
     def test_thermal_closed_form(self):
         mbar = 1.5
         desc = initial_p_function(StateSpec("thermal", mbar=mbar))
         for alpha in (0.0 + 0j, 1.0 + 0.5j, 2.0 - 1.0j):
             expected = math.exp(-abs(alpha) ** 2 / (mbar + 1.0)) / (math.pi * (mbar + 1.0))
-            assert p_to_q_smoothing(desc, alpha) == pytest.approx(expected, rel=1e-10)
+            assert q_at(desc, alpha) == pytest.approx(expected, rel=1e-10)
 
     def test_added_photon_coherent_exact(self):
         beta = 0.7 + 0.2j
@@ -89,7 +106,7 @@ class TestSmoothing:
                 * math.exp(-abs(alpha - beta) ** 2)
                 / (math.pi * (abs(beta) ** 2 + 1.0))
             )
-            assert p_to_q_smoothing(desc, alpha) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+            assert q_at(desc, alpha) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize(
         "spec",
@@ -103,12 +120,10 @@ class TestSmoothing:
     def test_grid_matches_independent_reference(self, spec):
         bath = BathParams(gamma=0.5, nbar=1.0)
         t = 0.5
-        ev = evolve_p_closed_form(spec, bath, t)
-        rho = integrate(
-            fock_density(spec, 60), LindbladSettings(60, 1e-3, bath), t, [t]
-        )[0]
+        form = evolve_p_closed_form(spec, bath, t)
+        rho = integrate(fock_density(spec, 60), bath, [t])[0]
         x = np.linspace(-3.0, 3.0, 21)
-        smoothed = p_to_q_grid(ev.form, x, x)
+        smoothed = p_to_q_grid(form, x, x)
         direct = husimi_q_grid(rho, x, x)
         assert float(np.max(np.abs(smoothed.values - direct.values))) < 1e-6
 
@@ -129,9 +144,9 @@ class TestSmoothing:
         bath = bath or BathParams(gamma=1.0, nbar=0.0)
         rho = fock_density(spec, 80)
         if t > 0:
-            rho = integrate(rho, LindbladSettings(80, 1e-3, bath), t, [t])[0]
+            rho = integrate(rho, bath, [t])[0]
         x = np.linspace(-4.0, 4.0, 41)
-        smoothed = p_to_q_grid(evolve_p_closed_form(spec, bath, t).form, x, x)
+        smoothed = p_to_q_grid(evolve_p_closed_form(spec, bath, t), x, x)
         direct = husimi_q_grid(rho, x, x)
         assert float(np.max(np.abs(smoothed.values - direct.values))) < 1e-10
 
