@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time as _time
 from pathlib import Path
@@ -43,8 +44,8 @@ class GridSpec:
     points: int = 41
 
     def __post_init__(self) -> None:
-        if not (self.lo < self.hi):
-            raise ValueError(f"grid range must satisfy lo < hi, got {self.lo}:{self.hi}")
+        if not (math.isfinite(self.hi - self.lo) and self.lo < self.hi):
+            raise ValueError(f"grid range must be finite with lo < hi, got {self.lo}:{self.hi}")
         if self.points < 8:
             raise ValueError(f"grid resolution must be at least 8 per axis, got {self.points}")
 
@@ -80,9 +81,15 @@ class RunConfig:
             raise ValueError("times must be sorted")
         if not self.outputs:
             raise ValueError("at least one output artifact must be requested")
-        for name in self.outputs:
+        for i, name in enumerate(self.outputs):
             if name not in ARTIFACTS:
                 raise ValueError(f"unknown artifact {name!r}; choose from {ARTIFACTS}")
+            if name in self.outputs[:i]:
+                raise ValueError(f"artifact {name!r} is requested twice")
+        if not (math.isfinite(self.compare_tolerance) and self.compare_tolerance > 0):
+            raise ValueError(
+                f"compare tolerance must be finite and positive, got {self.compare_tolerance}"
+            )
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
 
@@ -111,21 +118,43 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _json_list(items: list, indent: str) -> str:
+    """A flat list of finite floats, laid out as ``json.dumps(indent=2)`` lays
+    out a list whose items sit at ``indent``.
+
+    The C encoder formats the numbers, and no finite float's text holds ", ".
+    """
+    body = json.dumps(items)[1:-1].replace(", ", ",\n" + indent)
+    return f"[\n{indent}{body}\n{indent[:-2]}]"
+
+
 def _write_grid(path: Path, grid: PhaseSpaceGrid, fmt: str) -> None:
+    """Write a grid with every number in its shortest round-trip ``repr``,
+    each formatted once.
+
+    CSV has the header ``re_alpha,im_alpha,value`` and one ``x,y,value`` line
+    per point, row-major (x outer).  JSON is byte for byte
+    ``json.dumps({"meta", "values", "x_axis", "y_axis"}, indent=2,
+    sort_keys=True)`` with ``values[i][j]`` at (x_axis[i], y_axis[j]); array
+    entries of ``meta`` are left out.
+    """
+    rows = grid.values.tolist()
     if fmt == "csv":
+        ys = [f"{y!r}," for y in grid.y_axis.tolist()]
         lines = ["re_alpha,im_alpha,value"]
-        for i, x in enumerate(grid.x_axis):
-            for j, y in enumerate(grid.y_axis):
-                lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(grid.values[i, j])}")
+        for x, row in zip(grid.x_axis.tolist(), rows):
+            xr = f"{x!r},"
+            lines.extend([f"{xr}{yr}{v!r}" for yr, v in zip(ys, row)])
         path.write_text("\n".join(lines) + "\n")
     else:
-        payload = {
-            "x_axis": [float(v) for v in grid.x_axis],
-            "y_axis": [float(v) for v in grid.y_axis],
-            "values": [[float(v) for v in row] for row in grid.values],
-            "meta": {k: v for k, v in grid.meta.items() if not isinstance(v, (np.ndarray,))},
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        meta = {k: v for k, v in grid.meta.items() if not isinstance(v, np.ndarray)}
+        meta_text = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+        values = ",\n    ".join(_json_list(row, "      ") for row in rows)
+        path.write_text(
+            f'{{\n  "meta": {meta_text},\n  "values": [\n    {values}\n  ],\n'
+            f'  "x_axis": {_json_list(grid.x_axis.tolist(), "    ")},\n'
+            f'  "y_axis": {_json_list(grid.y_axis.tolist(), "    ")}\n}}\n'
+        )
 
 
 def _write_record(path: Path, record: dict, fmt: str) -> None:
@@ -170,8 +199,7 @@ def run(config: RunConfig) -> int:
         trace_deficits = [rho0.trace_deficit] + [r.trace_deficit for r in evolved]
 
     files: list[str] = []
-    compare_rows: list[dict] = []
-    worst_dev = 0.0
+    deviations: list[float] = []
     for idx, t in enumerate(config.times):
         form = evolve_p_closed_form(config.state, config.bath, t) if needs_p else None
         mt = evolved_moments(m0, config.bath, t)
@@ -213,24 +241,25 @@ def run(config: RunConfig) -> int:
                     "dev_var_x": abs(mt.var_x - mo.var_x),
                     "dev_var_y": abs(mt.var_y - mo.var_y),
                 }
-                worst_dev = max(worst_dev, max(v for k, v in row.items() if k != "time"))
-                compare_rows.append(row)
+                deviations.extend(v for k, v in row.items() if k != "time")
                 _write_record(path, row, ext)
             files.append(name)
 
+    # np.max propagates NaN, where max() would drop it
+    worst_dev = float(np.max(deviations)) if deviations else 0.0
     manifest = {
         "config": config.echo(),
         "version": __version__,
         "files": files,
         "trace_deficits": trace_deficits,
         "oracle_compare": {"worst_deviation": worst_dev, "tolerance": config.compare_tolerance}
-        if compare_rows
+        if deviations
         else None,
         "wall_time_seconds": _time.perf_counter() - started,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    if compare_rows and worst_dev > config.compare_tolerance:
+    if deviations and not worst_dev <= config.compare_tolerance:
         print(
             f"oracle comparison FAILED: worst deviation {worst_dev:.3e} exceeds "
             f"tolerance {config.compare_tolerance:.3e}",

@@ -170,11 +170,30 @@ def initial_p_function(spec: StateSpec):
     raise ValueError(f"unknown family {f!r}")
 
 
+#: n(n-1) weight a thermal tail may leave beyond the basis (the oracle
+#: compares second factorial moments, by default to 1e-5)
+_TAIL_SECOND_FACTORIAL = 1e-9
+
+
 def default_cutoff(spec: StateSpec, nbar: float = 0.0) -> int:
-    """Truncation heuristic: generous multiple of the state's mean photon
-    number plus the bath occupation ``nbar`` it relaxes toward."""
+    """Truncation heuristic: a generous multiple of the state's mean photon
+    number plus the bath occupation ``nbar`` it relaxes toward, raised until a
+    thermal tail leaves little second factorial moment beyond the basis.
+
+    The tail's occupation m is the larger of the state's P width (none for
+    the delta derivative of a photon-added coherent state) and ``nbar``: the
+    bath takes each P width w to w eta^2 + nbar (1 - eta^2), and a Gaussian P
+    of width m has number-state weights falling as q^n, q = m/(1 + m).
+    Beyond N levels that tail holds
+    sum_{n >= N} n(n-1)(1-q) q^n = q^N (N(N-1) + 2Nm + 2m^2).
+    """
     mean_n = initial_moments(spec).mean_n
-    return max(30, math.ceil(8.0 * (mean_n + nbar + 1.0)))
+    cutoff = max(30, math.ceil(8.0 * (mean_n + nbar + 1.0)))
+    m = max(getattr(initial_p_function(spec), "width", 0.0), nbar)
+    q = m / (1.0 + m)
+    while q**cutoff * (cutoff * (cutoff - 1) + 2 * cutoff * m + 2 * m * m) > _TAIL_SECOND_FACTORIAL:
+        cutoff += 1
+    return cutoff
 
 
 def fock_density(spec: StateSpec, cutoff: int) -> FockDensityMatrix:

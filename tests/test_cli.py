@@ -1,7 +1,12 @@
 """Command-line surface: file contracts, determinism, and the compare gate."""
 
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +18,13 @@ from phasebath import (
     husimi_q_grid,
     integrate,
 )
+from phasebath import cli
 from phasebath.cli import GridSpec, RunConfig, main, state_catalog
+from phasebath.quasiprob import PhaseSpaceGrid
 from phasebath.states import parse_state_spec
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "data" / "readme-example"
 
 
 def read_grid_csv(path):
@@ -34,6 +44,11 @@ class TestGridSpec:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             GridSpec.parse("3:-3:41")
+
+    @pytest.mark.parametrize("text", ["-3:inf:41", "-inf:3:41", "nan:3:41", "-3:nan:41", "-1e308:1e308:41"])
+    def test_rejects_non_finite_range(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec.parse(text)
 
 
 class TestRunContract:
@@ -258,6 +273,86 @@ class TestRunContract:
         q = read_grid_csv(tmp_path / "out" / "q-grid-001.csv")[:, 2].reshape(expected.shape)
         assert float(np.max(np.abs(q - expected))) < 1e-10
 
+    def test_infinite_grid_bound_is_one_error_line(self, tmp_path):
+        # Rejected before numpy sees the bound, so no RuntimeWarning reaches stderr.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "phasebath", "run", "--state", "thermal", "--mbar", "1",
+             "--times", "0", "--outputs", "q-grid", "--grid=-3:inf:41",
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: grid range must be finite")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_artifact_is_an_error(self, tmp_path, capsys):
+        code = main(
+            [
+                "run", "--state", "coherent", "--beta-re", "1", "--times", "0,1",
+                "--outputs", "moments,moments", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: artifact 'moments' is requested twice\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_compare_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        # A NaN tolerance used to pass every comparison, and -1 to fail every one.
+        code = main(
+            [
+                "run", "--state", "coherent", "--beta-re", "1", "--times", "0,1",
+                "--outputs", "moments", f"--compare={tol}", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: compare tolerance must be finite and positive")
+        assert err.count("\n") == 1
+
+    def test_compare_tolerance_key_must_be_finite(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("state=coherent\nbeta_re=1\ntimes=0,1\noutputs=moments\ncompare_tolerance=nan\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: compare tolerance must be finite and positive")
+
+    def test_non_finite_deviation_fails_the_gate(self, tmp_path, monkeypatch, capsys):
+        # max(0.0, nan) is 0.0, so a NaN deviation used to pass the gate.
+        real = cli.moments_from_rho
+        monkeypatch.setattr(
+            cli, "moments_from_rho", lambda rho: dataclasses.replace(real(rho), mean_n=math.nan)
+        )
+        code = main(
+            [
+                "run", "--state", "coherent", "--beta-re", "1", "--times", "0,1",
+                "--outputs", "moments", "--compare", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert "oracle comparison FAILED: worst deviation nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            ["--state", "thermal", "--mbar", "1"],
+            ["--state", "displaced-thermal", "--beta-re", "1", "--mbar", "0.5"],
+        ],
+        ids=["thermal", "displaced-thermal"],
+    )
+    def test_default_cutoff_holds_hot_thermal_tail(self, tmp_path, state):
+        # At cutoff 30 the geometric tail's n(n-1) weight beyond the basis put
+        # dev_second_factorial at 2.3e-5 and 3.0e-5, over the default 1e-5.
+        code = main(
+            ["run", *state, "--gamma", "0.5", "--nbar", "1.2", "--times", "0,0.5,1",
+             "--outputs", "moments,w-grid", "--compare", "--grid=-5:5:41",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+
     def test_invalid_flags_are_usage_errors(self, tmp_path, capsys):
         assert main(["run", "--state", "nope", "--times", "0"]) == 2
         assert main(["run", "--state", "thermal", "--times", "1,0.5"]) == 2
@@ -314,3 +409,52 @@ class TestRunConfigValidation:
                 outputs=("plots",),
                 output_dir=Path("x"),
             )
+
+
+class TestGridWriter:
+    @pytest.mark.parametrize("meta", [{}, {"quantity": "W", "note": "a, b", "grid": np.zeros(2)}])
+    def test_bytes_match_definitions(self, tmp_path, meta):
+        # 7 x 5, so swapped axes show; the values include edge cases of repr.
+        x = np.linspace(-1.5, 1.5, 7)
+        y = np.linspace(-0.2, 0.2, 5)
+        values = np.linspace(-1.0, 1.0, 35).reshape(7, 5) / 3.0
+        special = [-0.0, 5e-324, -4e-17, 1e-300, 2.0, 1e16, 1e22]
+        values.flat[[0, 4, 9, 17, 23, 30, 34]] = special
+        grid = PhaseSpaceGrid(x, y, values, meta)
+
+        cli._write_grid(tmp_path / "g.csv", grid, "csv")
+        lines = ["re_alpha,im_alpha,value"]
+        for i in range(7):
+            for j in range(5):
+                lines.append(f"{repr(float(x[i]))},{repr(float(y[j]))},{repr(float(values[i, j]))}")
+        assert (tmp_path / "g.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+        cli._write_grid(tmp_path / "g.json", grid, "json")
+        payload = {
+            "x_axis": [float(v) for v in x],
+            "y_axis": [float(v) for v in y],
+            "values": [[float(v) for v in row] for row in values],
+            "meta": {k: v for k, v in meta.items() if not isinstance(v, np.ndarray)},
+        }
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "g.json").read_bytes() == expected.encode()
+        assert "-0.0" in expected and "5e-324" in expected and "1e+22" in expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_readme_example_files_are_unchanged(self, tmp_path, fmt):
+        # tests/data/readme-example holds this run's data files as the
+        # original per-point writer wrote them.
+        code = main(
+            [
+                "run", "--state", "photon-added-thermal", "--mbar", "1",
+                "--gamma", "0.5", "--nbar", "2", "--times", "0,0.5,1",
+                "--outputs", "p-grid,q-grid,moments,mandel-q,variances",
+                "--grid=-3:3:9", "--format", fmt, "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        golden = sorted(p.name for p in (GOLDEN / fmt).iterdir())
+        assert len(golden) == 15
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(golden + ["manifest.json"])
+        for name in golden:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / fmt / name).read_bytes(), name

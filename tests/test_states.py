@@ -165,6 +165,19 @@ class TestFockDensity:
             rho = fock_density(spec, default_cutoff(spec))
             assert abs(np.trace(rho.elements).real - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("nbar", [0.0, 1.2])
+    @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.family)
+    def test_default_cutoff_holds_second_factorial(self, spec, nbar):
+        # Never below the mean-photon-number rule, and large enough that the
+        # state's own tail leaves <a+^2 a^2> intact (thermal at 1.4 lost 9e-5 at 30).
+        from phasebath import moments_from_rho
+
+        m = initial_moments(spec)
+        cutoff = default_cutoff(spec, nbar)
+        assert cutoff >= max(30, math.ceil(8.0 * (m.mean_n + nbar + 1.0)))
+        rho = fock_density(spec, cutoff)
+        assert moments_from_rho(rho).second_factorial == pytest.approx(m.second_factorial, abs=1e-7)
+
     def test_rejects_tiny_cutoff_for_large_state(self):
         with pytest.raises(ValueError):
             fock_density(StateSpec("coherent", beta=6.0), 5)
