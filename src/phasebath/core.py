@@ -62,7 +62,9 @@ def scale_bath(params: BathParams, t: float) -> ScaledBathParams:
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"elapsed time must be nonnegative and finite, got {t}")
     decay = math.exp(-params.gamma * t)
-    return ScaledBathParams(decay, params.nbar * (1.0 - decay * decay), float(t))
+    # -expm1 keeps 1 - e^{-2 gamma t} accurate at small gamma t, where
+    # 1 - decay**2 cancels to a relative error of about 1e-16 / (gamma t).
+    return ScaledBathParams(decay, -params.nbar * math.expm1(-2.0 * params.gamma * t), float(t))
 
 
 def _laguerre_half_all(order: int, x) -> np.ndarray:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasebath import (
@@ -53,6 +53,8 @@ class TestScaleBath:
         t2=st.floats(0.0, 3.0),
     )
     @settings(max_examples=200, deadline=None)
+    # Small gamma t, where 1 - e^{-2 gamma t} must not cancel.
+    @example(gamma=2.5, nbar=5.0, t1=1e-6, t2=1e-6)
     def test_semigroup_composition(self, gamma, nbar, t1, t2):
         bath = BathParams(gamma=gamma, nbar=nbar)
         a = scale_bath(bath, t1)
