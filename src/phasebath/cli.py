@@ -75,8 +75,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.times:
             raise ValueError("times must be nonempty")
-        if any(t < 0 for t in self.times):
-            raise ValueError("times must be nonnegative")
+        bad = [t for t in self.times if not (math.isfinite(t) and t >= 0)]
+        if bad:
+            raise ValueError(f"times must be finite and nonnegative, got {bad[0]}")
         if list(self.times) != sorted(self.times):
             raise ValueError("times must be sorted")
         if not self.outputs:
@@ -90,6 +91,8 @@ class RunConfig:
             raise ValueError(
                 f"compare tolerance must be finite and positive, got {self.compare_tolerance}"
             )
+        if self.oracle_cutoff is not None and self.oracle_cutoff < 2:
+            raise ValueError(f"oracle cutoff must be >= 2, got {self.oracle_cutoff}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
 
@@ -157,13 +160,28 @@ def _write_grid(path: Path, grid: PhaseSpaceGrid, fmt: str) -> None:
         )
 
 
+def _json_text(value) -> str:
+    """Strict JSON (``indent=2``, sorted keys) with every non-finite float as null."""
+
+    def finite(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [finite(x) for x in v]
+        return v
+
+    return json.dumps(finite(value), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_record(path: Path, record: dict, fmt: str) -> None:
     if fmt == "csv":
         keys = list(record)
         lines = [",".join(keys), ",".join(_fmt(record[k]) if isinstance(record[k], float) else str(record[k]) for k in keys)]
         path.write_text("\n".join(lines) + "\n")
     else:
-        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        path.write_text(_json_text(record))
 
 
 def _moments_record(t: float, m) -> dict:
@@ -192,7 +210,11 @@ def run(config: RunConfig) -> int:
     rhos = None
     trace_deficits: list[float] = []
     if needs_rho:
-        cutoff = config.oracle_cutoff or default_cutoff(config.state, config.bath.nbar)
+        cutoff = (
+            config.oracle_cutoff
+            if config.oracle_cutoff is not None
+            else default_cutoff(config.state, config.bath.nbar)
+        )
         rho0 = fock_density(config.state, cutoff)
         rhos = integrate(rho0, config.bath, config.times)
         evolved = [r for t, r in zip(config.times, rhos) if t > 0]
@@ -257,7 +279,7 @@ def run(config: RunConfig) -> int:
         else None,
         "wall_time_seconds": _time.perf_counter() - started,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out_dir / "manifest.json").write_text(_json_text(manifest))
 
     if deviations and not worst_dev <= config.compare_tolerance:
         print(

@@ -36,7 +36,7 @@ __all__ = [
 def evolve_p_closed_form(spec: StateSpec, bath: BathParams, t: float):
     """Closed-form propagated weight function, a descriptor, for every catalog family."""
     if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be nonnegative, got {t}")
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     scaled = scale_bath(bath, t)
     return initial_p_function(spec).convolved(scaled.decay_factor, scaled.nbar_t)
 
@@ -44,7 +44,7 @@ def evolve_p_closed_form(spec: StateSpec, bath: BathParams, t: float):
 def evolved_moments(m0: MomentSet, bath: BathParams, t: float) -> MomentSet:
     """Propagate a moment set: exponential decay toward the bath equilibrium."""
     if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be nonnegative, got {t}")
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     scaled = scale_bath(bath, t)
     eta = scaled.decay_factor
     eta2 = eta * eta

@@ -1,4 +1,8 @@
-"""Truncated number-basis operators and validated density matrices."""
+"""Truncated number-basis operators and validated density matrices.
+
+scipy is imported only inside the two matrix exponentials, which the
+Fock-basis oracle alone calls; the closed-form route needs numpy only.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import check_amplitude
 
@@ -47,6 +50,8 @@ def coherent_vector(beta, cutoff: int) -> np.ndarray:
 
 def displacement_matrix(beta, cutoff: int) -> np.ndarray:
     """exp(beta a^dag - beta* a), truncated."""
+    from scipy.linalg import expm
+
     a = annihilation(cutoff)
     beta = check_amplitude(beta)
     return expm(beta * a.conj().T - np.conj(beta) * a)
@@ -54,6 +59,8 @@ def displacement_matrix(beta, cutoff: int) -> np.ndarray:
 
 def squeeze_matrix(exponent: float, cutoff: int) -> np.ndarray:
     """exp((exponent/2)(a^2 - a^dag^2)), truncated; real exponent only."""
+    from scipy.linalg import expm
+
     a = annihilation(cutoff)
     return expm(0.5 * exponent * (a @ a - a.conj().T @ a.conj().T))
 

@@ -11,6 +11,9 @@ application costs O(cutoff^2)).  It never mixes the diagonals k = n - m of
 rho: on the elements rho[i, i + k] it acts as a (cutoff - k)-square
 tridiagonal matrix G_k.  So diagonal k of rho_t is expm(t G_k) applied to
 diagonal k of rho_0, with no time step, and diagonal -k is its conjugate.
+
+scipy is imported inside the functions that use it, so importing this module
+(and the closed-form route that does) loads numpy only.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import BathParams, check_amplitude
 from .fock import FockDensityMatrix, coherent_vector
@@ -83,6 +85,8 @@ def integrate(rho0: FockDensityMatrix, bath: BathParams, sample_times) -> list[F
     sample_times = [float(t) for t in sample_times]
     if not all(math.isfinite(t) and t >= 0 for t in sample_times):
         raise ValueError("sample_times must be finite and nonnegative")
+    from scipy.linalg import expm
+
     n = rho0.cutoff
     el = np.asarray(rho0.elements)
     trace0 = float(el.trace().real)

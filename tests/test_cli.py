@@ -21,7 +21,7 @@ from phasebath import (
 from phasebath import cli
 from phasebath.cli import GridSpec, RunConfig, main, state_catalog
 from phasebath.quasiprob import PhaseSpaceGrid
-from phasebath.states import parse_state_spec
+from phasebath.states import FAMILY_TABLE, parse_state_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "data" / "readme-example"
@@ -326,14 +326,59 @@ class TestRunContract:
         monkeypatch.setattr(
             cli, "moments_from_rho", lambda rho: dataclasses.replace(real(rho), mean_n=math.nan)
         )
+        for fmt in ("csv", "json"):
+            code = main(
+                [
+                    "run", "--state", "coherent", "--beta-re", "1", "--times", "0,1",
+                    "--outputs", "moments", "--compare", "--format", fmt,
+                    "--out", str(tmp_path / fmt),
+                ]
+            )
+            assert code == 1
+            assert "oracle comparison FAILED: worst deviation nan" in capsys.readouterr().err
+
+        # The record of the failure is strict JSON: NaN is written as null.
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        written = sorted(tmp_path.glob("*/*.json"))
+        assert len(written) == 1 + 4 + 1  # csv manifest; json moments, oracle-compare, manifest
+        for path in written:
+            json.loads(path.read_text(), parse_constant=reject)
+        for fmt in ("csv", "json"):
+            manifest = json.loads((tmp_path / fmt / "manifest.json").read_text())
+            assert manifest["oracle_compare"]["worst_deviation"] is None
+        record = json.loads((tmp_path / "json" / "oracle-compare-001.json").read_text())
+        assert record["dev_mean_n"] is None
+
+    @pytest.mark.parametrize("cutoff", ["0", "1", "-3"])
+    def test_oracle_cutoff_below_two_is_an_error(self, tmp_path, capsys, cutoff):
+        # A cutoff of 0 used to fall back to the default cutoff silently.
         code = main(
             [
                 "run", "--state", "coherent", "--beta-re", "1", "--times", "0,1",
-                "--outputs", "moments", "--compare", "--out", str(tmp_path / "out"),
+                "--outputs", "moments", "--compare", f"--oracle-cutoff={cutoff}",
+                "--out", str(tmp_path / "out"),
             ]
         )
-        assert code == 1
-        assert "oracle comparison FAILED: worst deviation nan" in capsys.readouterr().err
+        assert code == 2
+        assert capsys.readouterr().err == f"error: oracle cutoff must be >= 2, got {cutoff}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("times", ["0,inf", "nan", "0,nan,1"])
+    def test_non_finite_time_is_an_error(self, tmp_path, capsys, times):
+        # inf used to pass validation, and the run wrote files before failing.
+        code = main(
+            [
+                "run", "--state", "coherent", "--beta-re", "1", "--times", times,
+                "--outputs", "moments,q-grid", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: times must be finite and nonnegative")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "state",
@@ -356,6 +401,51 @@ class TestRunContract:
     def test_invalid_flags_are_usage_errors(self, tmp_path, capsys):
         assert main(["run", "--state", "nope", "--times", "0"]) == 2
         assert main(["run", "--state", "thermal", "--times", "1,0.5"]) == 2
+
+
+_CLOSED_FORM_SCRIPT = """
+import json, sys
+import phasebath
+from phasebath import cli
+from phasebath.core import BathParams
+from phasebath.descriptors import singular_part
+from phasebath.evolution import evolve_p_closed_form
+from phasebath.states import FAMILY_TABLE, parse_state_spec
+
+out, times, codes = sys.argv[1], (0.5, 1.0), []
+for name, entry in FAMILY_TABLE.items():
+    spec = parse_state_spec({"family": name, **entry.example})
+    regular = all(
+        singular_part(evolve_p_closed_form(spec, BathParams(1.0, 1.0), t)) is None for t in times
+    )
+    outputs = (["p-grid"] if regular else []) + ["q-grid", "moments", "mandel-q", "variances"]
+    argv = ["run", "--state", name, "--gamma", "1", "--nbar", "1",
+            "--times", ",".join(map(str, times)), "--outputs", ",".join(outputs),
+            "--grid=-3:3:9", "--out", f"{out}/{name}"]
+    for key, value in entry.example.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    codes.append(cli.main(argv))
+closed = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+codes.append(cli.main(["run", "--state", "coherent", "--beta-re", "1", "--times", "0,1",
+                       "--outputs", "moments", "--compare", "--out", f"{out}/oracle"]))
+print(json.dumps({"codes": codes, "closed": closed, "oracle": "scipy.linalg" in sys.modules}))
+"""
+
+
+class TestImportSplit:
+    def test_closed_form_route_never_loads_scipy(self, tmp_path):
+        # The bath's action on P is analytic; only the Fock-basis oracle needs
+        # a matrix exponential, so only it may load scipy.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLOSED_FORM_SCRIPT, str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == [0] * (len(FAMILY_TABLE) + 1)
+        assert result["closed"] == []
+        assert result["oracle"]
+        assert len(list(tmp_path.glob("thermal/p-grid-*.csv"))) == 2
 
 
 class TestListStates:
