@@ -9,7 +9,8 @@ equals (1/pi) <alpha|rho|alpha> computed from a density matrix, and the
 Wigner function comes from the density matrix alone, by Fourier transform of
 the symmetric characteristic function.  That function is summed over the
 diagonals of the density matrix as a Laguerre series in |xi|^2, for a whole
-grid of xi at once.
+grid of xi at once: the Laguerre sums run once per distinct |xi|^2 and are
+gathered onto the grid, with exactly the values a per-point sum gives.
 """
 
 from __future__ import annotations
@@ -72,8 +73,10 @@ def characteristic_function(rho: FockDensityMatrix, xi, ordering: str = "normal"
 
         <n+k|D(xi)|n> = sqrt(n!/(n+k)!) xi^k e^{-x/2} L_n^(k)(x),
 
-    and <n|D(xi)|n+k> is the same with (-xi*)^k.  The Laguerre recurrence
-    runs over the whole xi array at once, one diagonal after another.
+    and <n|D(xi)|n+k> is the same with (-xi*)^k.  One diagonal after
+    another, the Laguerre recurrence runs once per distinct |xi|^2 in the xi
+    array, and its sums are gathered back onto the array.  Every value is
+    bit for bit what a separate call at that xi returns.
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
@@ -90,6 +93,9 @@ def characteristic_function(rho: FockDensityMatrix, xi, ordering: str = "normal"
             stacklevel=2,
         )
     el = np.asarray(rho.elements)
+    # The Laguerre sums depend on x alone: run them once per distinct x.
+    radii, where = np.unique(x, return_inverse=True)
+    where = where.reshape(x.shape)  # numpy before 2.0 returns it flat
     # xi^k / sqrt(k!) times e^{c x}, built up over k.
     prefactor = np.exp(_ORDER_EXPONENT[ordering] * x)
     chi = np.zeros_like(xi)
@@ -99,12 +105,13 @@ def characteristic_function(rho: FockDensityMatrix, xi, ordering: str = "normal"
         ratios = np.arange(1.0, cutoff - k) / np.arange(k + 1.0, cutoff)
         # rho[n, n+k] sqrt(n! k!/(n+k)!), paired with <n+k|D|n>
         coeffs = np.sqrt(np.cumprod(np.concatenate(([1.0], ratios)))) * el.diagonal(k)
-        total = np.zeros_like(xi)
-        lag_prev, lag = np.zeros_like(x), np.ones_like(x)  # L_{n-1}^(k)(x), L_n^(k)(x)
+        total = np.zeros_like(radii, dtype=complex)
+        lag_prev, lag = np.zeros_like(radii), np.ones_like(radii)  # L_{n-1}^(k)(x), L_n^(k)(x)
         for n, coeff in enumerate(coeffs):
             total += coeff * lag
-            lag_prev, lag = lag, ((2 * n + 1 + k - x) * lag - (n + k) * lag_prev) / (n + 1)
-        term = prefactor * total
+            lag_prev, lag = lag, ((2 * n + 1 + k - radii) * lag - (n + k) * lag_prev) / (n + 1)
+        # np.multiply keeps a scalar xi on the same ufunc loop as an array.
+        term = np.multiply(prefactor, total[where])
         # rho is Hermitian, so diagonal -k adds (-1)^k times the conjugate.
         chi += term + (-1) ** k * np.conj(term) if k else term
     return complex(chi) if chi.ndim == 0 else chi

@@ -25,6 +25,7 @@ from phasebath.states import FAMILY_TABLE, parse_state_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "data" / "readme-example"
+COMPARE_GOLDEN = GOLDEN.parent / "compare-example"
 
 
 def read_grid_csv(path):
@@ -548,3 +549,25 @@ class TestGridWriter:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(golden + ["manifest.json"])
         for name in golden:
             assert (tmp_path / name).read_bytes() == (GOLDEN / fmt / name).read_bytes(), name
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_compare_example_files_are_unchanged(self, tmp_path, fmt):
+        # tests/data/compare-example holds this oracle run's data files (W
+        # grids from the characteristic function, oracle-compare deviations)
+        # as written before the Laguerre sums were shared between equal
+        # |xi|^2.  -3.5:3.5:15 is the smallest window at spacing 0.5 that
+        # passes the W mass check.
+        code = main(
+            [
+                "run", "--state", "photon-added-coherent", "--beta-re", "0.5",
+                "--beta-im", "0.3", "--gamma", "1", "--nbar", "0.4", "--times", "0,0.3,1",
+                "--outputs", "moments,w-grid", "--compare", "--grid=-3.5:3.5:15",
+                "--format", fmt, "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        golden = sorted(p.name for p in (COMPARE_GOLDEN / fmt).iterdir())
+        assert len(golden) == 9
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(golden + ["manifest.json"])
+        for name in golden:
+            assert (tmp_path / name).read_bytes() == (COMPARE_GOLDEN / fmt / name).read_bytes(), name
