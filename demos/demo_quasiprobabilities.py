@@ -2,8 +2,8 @@
 
 The evolved analytic P is smoothed into the Husimi Q and compared against the
 Q computed from an independently propagated density matrix; the Wigner
-function comes from a Fourier transform of the symmetric characteristic
-function and shows the negativity that Q hides.
+function, the expected parity of the displaced state at each grid point,
+shows the negativity that Q hides.
 
 Run:  python3 demos/demo_quasiprobabilities.py
 """

@@ -443,8 +443,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
-        # RuntimeError covers the numerical guards: oracle trace drift, Wigner
-        # norm mismatch, and non-converged quadrature.
+        # RuntimeError covers the numerical guards: oracle trace drift and
+        # non-converged quadrature.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

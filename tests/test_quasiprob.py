@@ -1,4 +1,4 @@
-"""Characteristic functions, antinormal smoothing, and the Fourier transform."""
+"""Characteristic functions, antinormal smoothing, and W by displaced parity."""
 
 import math
 
@@ -69,8 +69,8 @@ class TestCharacteristicFunction:
         # basis large enough that its leading block is exact to roundoff.
         rho = fock_density(StateSpec("photon-added-coherent", beta=0.6 - 0.3j), 24)
         scattered = np.array([[0.0, 0.4 + 0.3j, -1.1 + 0.2j], [0.7j, -0.5 - 0.9j, 1.3 - 0.6j]])
-        # A square lattice, built as wigner_from_characteristic builds its xi
-        # grid, repeats values of |xi|^2, so its sums are gathered onto it.
+        # A square lattice repeats values of |xi|^2, so its sums are gathered
+        # onto it.
         axis = np.linspace(-1.5, 1.5, 7)
         lattice = axis[:, None] + 1j * axis[None, :]
         assert np.unique(np.abs(lattice) ** 2).size < lattice.size
@@ -204,3 +204,19 @@ class TestWigner:
         var_y = float(np.sum(Y**2 * grid.values)) * dx * dx
         assert var_x == pytest.approx(1.0 / (4.0 * s), abs=1e-4)
         assert var_y == pytest.approx(s / 4.0, abs=1e-4)
+
+    def test_matches_parity_of_the_displaced_state(self):
+        # W(alpha) = (2/pi) sum_k (-1)^k <k|D(alpha)^dagger rho D(alpha)|k>,
+        # with rho embedded in a basis of 150 and D(alpha) not cropped to the
+        # cutoff, so every displaced population is summed.
+        rho = fock_density(StateSpec("photon-added-coherent", beta=0.6 - 0.3j), 30)
+        embedded = np.zeros((150, 150), dtype=complex)
+        embedded[:30, :30] = rho.elements
+        axis = np.array([-0.8, -0.1, 0.6])
+        grid = wigner_from_characteristic(rho, PhaseSpaceGrid(axis, axis, np.zeros((3, 3)), {}))
+        signs = (-1.0) ** np.arange(150)
+        for i, j in ((0, 1), (1, 1), (2, 0), (1, 2), (2, 2)):  # |alpha| <= 1
+            d = displacement_matrix(complex(axis[i], axis[j]), 150)
+            displaced = d.conj().T @ embedded @ d
+            expected = (2.0 / math.pi) * float(np.sum(signs * displaced.diagonal().real))
+            assert abs(grid.values[i, j] - expected) < 1e-12
