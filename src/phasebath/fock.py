@@ -1,7 +1,8 @@
 """Truncated number-basis operators and validated density matrices.
 
-scipy is imported only inside the two matrix exponentials, which the
-Fock-basis oracle alone calls; the closed-form route needs numpy only.
+The displacement and squeeze unitaries are exp(-iH) of their truncated
+Hermitian generator H, from numpy's eigendecomposition of H; the module needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -48,21 +49,25 @@ def coherent_vector(beta, cutoff: int) -> np.ndarray:
     return np.exp(-0.5 * mag**2 + logs - 0.5 * logfact) * phase
 
 
+def _unitary(generator: np.ndarray) -> np.ndarray:
+    """exp(generator) for an anti-Hermitian generator, as exp(-iH) with the
+    Hermitian H = i * generator diagonalized; real for a real generator."""
+    levels, vectors = np.linalg.eigh(1j * generator)
+    out = (vectors * np.exp(-1j * levels)) @ vectors.conj().T
+    return out.real if np.isrealobj(generator) else out
+
+
 def displacement_matrix(beta, cutoff: int) -> np.ndarray:
     """exp(beta a^dag - beta* a), truncated."""
-    from scipy.linalg import expm
-
     a = annihilation(cutoff)
     beta = check_amplitude(beta)
-    return expm(beta * a.conj().T - np.conj(beta) * a)
+    return _unitary(beta * a.conj().T - np.conj(beta) * a)
 
 
 def squeeze_matrix(exponent: float, cutoff: int) -> np.ndarray:
     """exp((exponent/2)(a^2 - a^dag^2)), truncated; real exponent only."""
-    from scipy.linalg import expm
-
     a = annihilation(cutoff)
-    return expm(0.5 * exponent * (a @ a - a.conj().T @ a.conj().T))
+    return _unitary(0.5 * exponent * (a @ a - a.conj().T @ a.conj().T))
 
 
 def thermal_populations(mbar: float, cutoff: int) -> np.ndarray:

@@ -8,12 +8,12 @@ The generator is
 
 applied elementwise (the ladder operators only shift indices, so one
 application costs O(cutoff^2)).  It never mixes the diagonals k = n - m of
-rho: on the elements rho[i, i + k] it acts as a (cutoff - k)-square
-tridiagonal matrix G_k.  So diagonal k of rho_t is expm(t G_k) applied to
-diagonal k of rho_0, with no time step, and diagonal -k is its conjugate.
-
-scipy is imported inside the functions that use it, so importing this module
-(and the closed-form route that does) loads numpy only.
+rho, and its solution at time t is a known channel: pure loss followed by a
+quantum-limited amplifier, each an operator sum with binomial weights.  So
+diagonal k of rho_t is a weighted sum over diagonal k of rho_0, in closed
+form, with no time step and no matrix exponential; diagonal -k is its
+conjugate.  The bath factors eta^2, G and tau are computed here, apart from
+the phase-space route this module checks.  Everything here needs numpy only.
 """
 
 from __future__ import annotations
@@ -57,46 +57,74 @@ def apply_liouvillian(rho: FockDensityMatrix, bath: BathParams) -> np.ndarray:
     return _liouvillian(np.asarray(rho.elements), bath.gamma, bath.nbar)
 
 
-def _diagonal_generator(k: int, cutoff: int, bath: BathParams) -> np.ndarray:
-    """G_k: the generator restricted to diagonal k, the elements rho[i, i + k].
+def _binomial_channel(diagonals: np.ndarray, ks: np.ndarray, p: float, q: float, down: bool) -> np.ndarray:
+    """One operator-sum channel with binomial weights, on diagonals[j, m] = rho[m, m + ks[j]].
 
-    Row i gains 2 gamma (1 + nbar) sqrt((i+1)(i+k+1)) rho[i+1, i+k+1] and
-    2 gamma nbar sqrt(i (i+k)) rho[i-1, i+k-1], and loses the decay rates
-    of levels i and i + k.
+    With w_l[j, m] = p^(m + k/2) q^l sqrt(C(m+l, l) C(m+k+l, l)), k = ks[j],
+    the result at [j, m] sums w_l[j, m] diagonals[j, m + l] if ``down`` (level
+    m + l feeds level m) and w_l[j, m - l] diagonals[j, m - l] if not (level m
+    feeds level m + l).  Every w_l is the geometric mean of two binomial
+    probabilities (negative binomial ones over p if not ``down``), so it is at
+    most 1 (1/p), and the positive-factor recurrence in l neither overflows
+    nor cancels.
     """
-    gamma, nbar = bath.gamma, bath.nbar
-    levels = np.arange(cutoff)
-    sq = np.sqrt(levels)
-    decay = gamma * (1.0 + nbar) * levels + gamma * nbar * (levels + 1.0)
-    gain = sq[1 : cutoff - k] * sq[k + 1 :]
-    return (
-        np.diag(-(decay[: cutoff - k] + decay[k:]))
-        + np.diag(2.0 * gamma * (1.0 + nbar) * gain, 1)
-        + np.diag(2.0 * gamma * nbar * gain, -1)
-    )
+    n = diagonals.shape[1]
+    m = np.arange(n, dtype=float)
+    mk = m + ks[:, None]
+    w = p ** (0.5 * (m + mk))
+    out = w * diagonals
+    for l in range(1, n if q > 0.0 else 1):
+        w = w[:, : n - l] * (q / l) * np.sqrt((m[: n - l] + l) * (mk[:, : n - l] + l))
+        if not w.any():  # every later weight is a multiple of this one
+            break
+        if down:
+            out[:, : n - l] += w * diagonals[:, l:]
+        else:
+            out[:, l:] += w * diagonals[:, : n - l]
+    return out
 
 
 def integrate(rho0: FockDensityMatrix, bath: BathParams, sample_times) -> list[FockDensityMatrix]:
     """Exact states at the requested sample times, each propagated straight from rho0.
 
-    The trace drift from rho0 is checked against a hard limit: a drift means
-    that the evolved state leaks past the truncated basis.
+    The thermal channel is pure loss of transmissivity tau = eta^2 / G
+    followed by a quantum-limited amplifier of gain G = 1 + nbar (1 - eta^2),
+    eta^2 = e^{-2 gamma t} (Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)).
+    On diagonal k, rho[m, m + k], the loss is
+
+        rho'[m, m+k] = sum_l tau^(m + k/2) (1 - tau)^l sqrt(C(m+l, l) C(m+k+l, l)) rho[m+l, m+k+l]
+
+    and the amplifier is
+
+        rho''[m, m+k] = sum_{l <= m} G^(-1 - (m-l) - k/2) (1 - 1/G)^l sqrt(C(m, l) C(m+k, l)) rho'[m-l, m-l+k].
+
+    Both run for every diagonal at once, on those that are nonzero in rho0
+    (the channel keeps a zero diagonal zero).  Weight the amplifier lifts past
+    the basis is dropped; the trace drift from rho0 is checked against a hard
+    limit, since a drift means that the evolved state leaks past the basis.
     """
     sample_times = [float(t) for t in sample_times]
     if not all(math.isfinite(t) and t >= 0 for t in sample_times):
         raise ValueError("sample_times must be finite and nonnegative")
-    from scipy.linalg import expm
-
     n = rho0.cutoff
     el = np.asarray(rho0.elements)
     trace0 = float(el.trace().real)
-    generators = [_diagonal_generator(k, n, bath) for k in range(n)]
+    rows, cols = np.nonzero(np.triu(el))
+    ks = np.unique(cols - rows)
+    # diagonals[j, m] = rho0[m, m + ks[j]], zero past the end of the diagonal
+    diagonals = np.zeros((ks.size, n), dtype=complex)
+    for j, k in enumerate(ks.tolist()):
+        diagonals[j, : n - k] = el.diagonal(k)
     samples: list[FockDensityMatrix] = []
     for t in sample_times:
+        eta2, spread = math.exp(-2.0 * bath.gamma * t), -math.expm1(-2.0 * bath.gamma * t)
+        gain = 1.0 + bath.nbar * spread
+        lost = _binomial_channel(diagonals, ks, eta2 / gain, (1.0 + bath.nbar) * spread / gain, down=True)
+        amplified = _binomial_channel(lost, ks, 1.0 / gain, bath.nbar * spread / gain, down=False) / gain
         upper = np.zeros((n, n), dtype=complex)
-        for k, gen in enumerate(generators):
+        for j, k in enumerate(ks.tolist()):
             idx = np.arange(n - k)
-            upper[idx, idx + k] = expm(t * gen) @ el.diagonal(k)
+            upper[idx, idx + k] = amplified[j, : n - k]
         strict = np.triu(upper, 1)
         rho = strict + strict.conj().T + np.diag(upper.diagonal().real)
         trace = float(rho.trace().real)
@@ -129,11 +157,25 @@ def husimi_q_grid(rho: FockDensityMatrix, x_axis, y_axis):
     return PhaseSpaceGrid(x, y, q.reshape(x.size, y.size), {"quantity": "Q"})
 
 
+def _poisson_tail(cutoff: int, mean: float) -> float:
+    """P(n >= cutoff) for n Poisson with this mean.
+
+    Each term from ``cutoff`` upward is formed in log space, and the sum runs
+    to 60 terms and 12 standard deviations past the larger of ``cutoff`` and
+    the mean, where the remaining terms are negligible against the sum.
+    """
+    if mean == 0.0:
+        return 0.0
+    stop = math.ceil(max(cutoff, mean) + 12.0 * math.sqrt(mean) + 60.0)
+    levels = range(cutoff, stop)
+    logs = np.array([n * math.log(mean) - mean - math.lgamma(n + 1.0) for n in levels])
+    top = float(logs.max())
+    return math.exp(top) * float(np.exp(logs - top).sum())
+
+
 def _truncation_guard(cutoff: int, alpha_sq: float) -> None:
     if alpha_sq >= cutoff / 4.0:
-        from scipy.stats import poisson
-
-        tail = float(poisson.sf(cutoff - 1, alpha_sq))
+        tail = _poisson_tail(cutoff, alpha_sq)
         if tail < 1e-10:
             return
         warnings.warn(

@@ -105,29 +105,36 @@ def _displaced_trace(rho: FockDensityMatrix, xi: np.ndarray, exponent: float, pa
     for k in range(cutoff):
         ratios = np.arange(1.0, cutoff - k) / np.arange(k + 1.0, cutoff)
         coeffs[k, : cutoff - k] = np.sqrt(np.cumprod(np.concatenate(([1.0], ratios)))) * rho.elements.diagonal(k)
+    # Only the diagonals k with a nonzero coefficient contribute: from here
+    # on, row j of coeffs is diagonal ks[j].
+    ks = np.flatnonzero(coeffs.any(axis=1))
+    coeffs = coeffs[ks]
     if parity:
         coeffs[:, 1::2] *= -1.0
     # The Laguerre sums depend on x alone: run them once per distinct x, for
     # every diagonal at once.  At step n only the diagonals k < cutoff - n
     # hold a row n, so the rest are dropped before their L_n^(k) is formed.
     radii, where = np.unique(x, return_inverse=True)
-    ks = np.arange(cutoff)[:, None]
-    total = np.zeros((cutoff, radii.size), dtype=complex)
+    total = np.zeros((ks.size, radii.size), dtype=complex)
     # L_{n-1}^(k)(x), L_n^(k)(x), one row per live diagonal k
-    lag_prev, lag = np.zeros((cutoff, radii.size)), np.ones((cutoff, radii.size))
-    for n in range(cutoff):
-        live = cutoff - n
-        k, lag_prev, lag = ks[:live], lag_prev[:live], lag[:live]
+    lag_prev, lag = np.zeros((ks.size, radii.size)), np.ones((ks.size, radii.size))
+    lives, kcol = np.searchsorted(ks, cutoff - np.arange(cutoff)), ks[:, None]
+    for n, live in enumerate(lives):
+        k, lag_prev, lag = kcol[:live], lag_prev[:live], lag[:live]
         total[:live] += coeffs[:live, n, None] * lag
         lag_prev, lag = lag, ((2 * n + 1 + k - radii) * lag - (n + k) * lag_prev) / (n + 1)
-    # xi^k / sqrt(k!) times e^{exponent x}, built up over k.
+    # xi^k / sqrt(k!) times e^{exponent x}, built up over k up to the last
+    # nonzero diagonal.
     prefactor = np.exp(exponent * x)
     out = np.zeros_like(xi)
-    for k in range(cutoff):
+    sums = dict(zip(ks.tolist(), total))
+    for k in range(int(ks[-1]) + 1):
         if k:
             prefactor = prefactor * xi / math.sqrt(k)
+        if k not in sums:
+            continue
         # np.multiply keeps a scalar xi on the same ufunc loop as an array.
-        term = np.multiply(prefactor, total[k][where])
+        term = np.multiply(prefactor, sums[k][where])
         # rho is Hermitian, so diagonal -k adds the conjugate, times (-1)^k
         # without parity; with parity that sign cancels against Pi's.
         out += term + (1 if parity else (-1) ** k) * np.conj(term) if k else term

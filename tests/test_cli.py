@@ -449,7 +449,7 @@ class TestRunContract:
         assert main(["run", "--state", "thermal", "--times", "1,0.5"]) == 2
 
 
-_CLOSED_FORM_SCRIPT = """
+_ROUTES_SCRIPT = """
 import json, sys
 import phasebath
 from phasebath import cli
@@ -458,40 +458,47 @@ from phasebath.descriptors import singular_part
 from phasebath.evolution import evolve_p_closed_form
 from phasebath.states import FAMILY_TABLE, parse_state_spec
 
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
 out, times, codes = sys.argv[1], (0.5, 1.0), []
 for name, entry in FAMILY_TABLE.items():
     spec = parse_state_spec({"family": name, **entry.example})
     regular = all(
         singular_part(evolve_p_closed_form(spec, BathParams(1.0, 1.0), t)) is None for t in times
     )
-    outputs = (["p-grid"] if regular else []) + ["q-grid", "moments", "mandel-q", "variances"]
-    argv = ["run", "--state", name, "--gamma", "1", "--nbar", "1",
-            "--times", ",".join(map(str, times)), "--outputs", ",".join(outputs),
-            "--grid=-3:3:9", "--out", f"{out}/{name}"]
-    for key, value in entry.example.items():
-        argv += ["--" + key.replace("_", "-"), str(value)]
-    codes.append(cli.main(argv))
-closed = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-codes.append(cli.main(["run", "--state", "coherent", "--beta-re", "1", "--times", "0,1",
-                       "--outputs", "moments", "--compare", "--out", f"{out}/oracle"]))
-print(json.dumps({"codes": codes, "closed": closed, "oracle": "scipy.linalg" in sys.modules}))
+    closed = (["p-grid"] if regular else []) + ["q-grid", "moments", "mandel-q", "variances"]
+    for outputs, extra in ((closed, []), (["moments", "w-grid"], ["--compare"])):
+        argv = ["run", "--state", name, "--gamma", "1", "--nbar", "1",
+                "--times", ",".join(map(str, times)), "--outputs", ",".join(outputs),
+                "--grid=-3:3:9", "--out", f"{out}/{name}-{len(extra)}", *extra]
+        for key, value in entry.example.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        codes.append(cli.main(argv))
+loaded = scipy_modules()
+import scipy.linalg  # the detector must see a scipy import
+
+print(json.dumps({"codes": codes, "loaded": loaded, "control": scipy_modules()}))
 """
 
 
 class TestImportSplit:
     def test_closed_form_route_never_loads_scipy(self, tmp_path):
-        # The bath's action on P is analytic; only the Fock-basis oracle needs
-        # a matrix exponential, so only it may load scipy.
+        # The bath's action on P and on rho is analytic, so no run route, the
+        # Fock-basis oracle included, may load scipy.
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
-            [sys.executable, "-c", _CLOSED_FORM_SCRIPT, str(tmp_path)],
+            [sys.executable, "-c", _ROUTES_SCRIPT, str(tmp_path)],
             env=env, capture_output=True, text=True, check=True,
         )
         result = json.loads(proc.stdout.splitlines()[-1])
-        assert result["codes"] == [0] * (len(FAMILY_TABLE) + 1)
-        assert result["closed"] == []
-        assert result["oracle"]
-        assert len(list(tmp_path.glob("thermal/p-grid-*.csv"))) == 2
+        assert result["codes"] == [0] * (2 * len(FAMILY_TABLE))
+        assert result["loaded"] == []
+        assert "scipy.linalg" in result["control"]
+        assert len(list(tmp_path.glob("thermal-0/p-grid-*.csv"))) == 2
+        for name in FAMILY_TABLE:
+            assert len(list(tmp_path.glob(f"{name}-1/w-grid-*.csv"))) == 2
+            assert len(list(tmp_path.glob(f"{name}-1/oracle-compare-*.csv"))) == 2
 
 
 class TestListStates:
@@ -598,9 +605,8 @@ class TestGridWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_compare_example_files_are_unchanged(self, tmp_path, fmt):
         # tests/data/compare-example holds this oracle run's data files: W
-        # grids by displaced parity of rho_t, and oracle-compare deviations
-        # and moments as written before the Laguerre sums were shared between
-        # equal |xi|^2.
+        # grids by displaced parity of rho_t, with rho_t from the closed-form
+        # thermal channel, its oracle-compare deviations, and the moments.
         code = main(
             [
                 "run", "--state", "photon-added-coherent", "--beta-re", "0.5",

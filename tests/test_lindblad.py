@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.stats import poisson
 
 from phasebath import (
     BathParams,
@@ -17,7 +19,28 @@ from phasebath import (
     moments_from_rho,
 )
 from phasebath.fock import thermal_populations
-from phasebath.lindblad import _diagonal_generator
+from phasebath.lindblad import _poisson_tail
+from phasebath.states import FAMILY_TABLE, parse_state_spec
+
+
+def _diagonal_generator(k: int, cutoff: int, bath: BathParams) -> np.ndarray:
+    """G_k: the generator restricted to diagonal k, the elements rho[i, i + k].
+
+    Row i gains 2 gamma (1 + nbar) sqrt((i+1)(i+k+1)) rho[i+1, i+k+1] and
+    2 gamma nbar sqrt(i (i+k)) rho[i-1, i+k-1], and loses the decay rates
+    of levels i and i + k.  Diagonal k of rho_t in the truncated basis is
+    expm(t G_k) applied to diagonal k of rho_0: the reference for integrate.
+    """
+    gamma, nbar = bath.gamma, bath.nbar
+    levels = np.arange(cutoff)
+    sq = np.sqrt(levels)
+    decay = gamma * (1.0 + nbar) * levels + gamma * nbar * (levels + 1.0)
+    gain = sq[1 : cutoff - k] * sq[k + 1 :]
+    return (
+        np.diag(-(decay[: cutoff - k] + decay[k:]))
+        + np.diag(2.0 * gamma * (1.0 + nbar) * gain, 1)
+        + np.diag(2.0 * gamma * nbar * gain, -1)
+    )
 
 
 def thermal_rho(mbar: float, cutoff: int) -> FockDensityMatrix:
@@ -106,6 +129,41 @@ class TestIntegration:
             by_diagonal[rows, cols] = _diagonal_generator(abs(k), 40, bath) @ el.diagonal(k)
         assert np.max(np.abs(by_diagonal - apply_liouvillian(rho, bath))) < 1e-14
 
+    @pytest.mark.parametrize("nbar", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("family", list(FAMILY_TABLE))
+    def test_matches_per_diagonal_matrix_exponential(self, family, nbar):
+        # The closed-form channel against expm(t G_k) of the truncated
+        # generator, on the leading block: the two differ only by what the
+        # truncated generator loses at the basis edge.
+        spec = parse_state_spec({"family": family, **FAMILY_TABLE[family].example})
+        bath = BathParams(gamma=1.0, nbar=nbar)
+        n, block = 90, 40
+        rho0 = fock_density(spec, n)
+        el = np.asarray(rho0.elements)
+        times = (0.2, 1.0, 3.0)
+        # Only diagonals k < block reach the block, and a zero diagonal stays zero.
+        ks = [k for k in range(block) if el.diagonal(k).any()]
+        generators = {k: _diagonal_generator(k, n, bath) for k in ks}
+        for t, rho_t in zip(times, integrate(rho0, bath, times)):
+            reference = np.zeros((n, n), dtype=complex)
+            for k in ks:
+                idx = np.arange(n - k)
+                reference[idx, idx + k] = expm(t * generators[k]) @ el.diagonal(k)
+                reference[idx + k, idx] = np.conj(reference[idx, idx + k])
+            assert np.max(np.abs(rho_t.elements[:block, :block] - reference[:block, :block])) < 1e-12
+
+    def test_long_time_underflow_stays_finite(self):
+        # At t = 800/gamma, eta^2 = e^{-1600} underflows to 0: the loss
+        # sends everything to vacuum and the amplifier makes the bath state.
+        bath = BathParams(gamma=1.0, nbar=0.5)
+        rho0 = fock_density(StateSpec("coherent", beta=2.0 + 1.0j), 200)
+        rho_t = integrate(rho0, bath, [800.0])[0]
+        assert np.all(np.isfinite(rho_t.elements))
+        np.testing.assert_allclose(
+            np.diagonal(rho_t.elements), thermal_populations(0.5, 200), rtol=0, atol=1e-12
+        )
+        assert np.max(np.abs(rho_t.elements - np.diag(np.diagonal(rho_t.elements)))) == 0.0
+
     def test_semigroup_law(self):
         spec = StateSpec("photon-added-coherent", beta=1.0 + 0.5j)
         bath = BathParams(gamma=0.7, nbar=0.8)
@@ -134,6 +192,20 @@ class TestIntegration:
         rho0 = fock_density(StateSpec("thermal", mbar=0.4), 20)
         with pytest.raises(ValueError):
             integrate(rho0, BathParams(gamma=1.0, nbar=0.3), [-0.1])
+
+
+class TestTruncationGuard:
+    @pytest.mark.parametrize(
+        "cutoff, alpha_sq", [(2, 0.5), (30, 7.5), (30, 72.0), (90, 22.5), (90, 90.0), (200, 100.0), (200, 450.0)]
+    )
+    def test_poisson_tail_matches_scipy(self, cutoff, alpha_sq):
+        expected = poisson.sf(cutoff - 1, alpha_sq)
+        assert _poisson_tail(cutoff, alpha_sq) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_warns_past_the_basis(self):
+        vac = FockDensityMatrix.from_array(np.diag([1.0] + [0.0] * 19))
+        with pytest.warns(RuntimeWarning, match="beyond the basis"):
+            husimi_q(vac, 4.0)
 
 
 class TestHusimi:

@@ -67,21 +67,23 @@ class TestCharacteristicFunction:
     def test_array_matches_trace_against_displacement(self):
         # Reference: Tr[rho D(xi)] with D(xi) from a matrix exponential in a
         # basis large enough that its leading block is exact to roundoff.
-        rho = fock_density(StateSpec("photon-added-coherent", beta=0.6 - 0.3j), 24)
         scattered = np.array([[0.0, 0.4 + 0.3j, -1.1 + 0.2j], [0.7j, -0.5 - 0.9j, 1.3 - 0.6j]])
         # A square lattice repeats values of |xi|^2, so its sums are gathered
         # onto it.
         axis = np.linspace(-1.5, 1.5, 7)
         lattice = axis[:, None] + 1j * axis[None, :]
         assert np.unique(np.abs(lattice) ** 2).size < lattice.size
-        for xi, traced in ((scattered, range(scattered.size)), (lattice, (0, 8, 24, 30, 40, 48))):
-            chi = characteristic_function(rho, xi, "symmetric")
-            assert chi.shape == xi.shape
-            for z, value in zip(xi.ravel(), chi.ravel()):
-                assert value == characteristic_function(rho, z, "symmetric")
-            for i in traced:
-                block = displacement_matrix(xi.flat[i], 90)[:24, :24]
-                assert abs(chi.flat[i] - np.trace(rho.elements @ block)) < 1e-12
+        # The photon-added thermal state holds its main diagonal alone.
+        for spec in (StateSpec("photon-added-coherent", beta=0.6 - 0.3j), StateSpec("photon-added-thermal", mbar=0.5)):
+            rho = fock_density(spec, 24)
+            for xi, traced in ((scattered, range(scattered.size)), (lattice, (0, 8, 24, 30, 40, 48))):
+                chi = characteristic_function(rho, xi, "symmetric")
+                assert chi.shape == xi.shape
+                for z, value in zip(xi.ravel(), chi.ravel()):
+                    assert value == characteristic_function(rho, z, "symmetric")
+                for i in traced:
+                    block = displacement_matrix(xi.flat[i], 90)[:24, :24]
+                    assert abs(chi.flat[i] - np.trace(rho.elements @ block)) < 1e-12
 
     def test_rejects_unknown_ordering(self):
         rho = fock_density(StateSpec("coherent", beta=0.0), 10)
