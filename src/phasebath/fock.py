@@ -113,11 +113,3 @@ class FockDensityMatrix:
         elements = 0.5 * (elements + elements.conj().T)
         deficit = 1.0 - float(elements.trace().real)
         return cls(elements.shape[0], elements, deficit)
-
-    def expectation(self, op: np.ndarray) -> complex:
-        if op.shape != self.elements.shape:
-            raise ValueError("operator dimension mismatch")
-        return complex(np.trace(op @ self.elements))
-
-    def diagonal(self) -> np.ndarray:
-        return self.elements.diagonal().real.copy()

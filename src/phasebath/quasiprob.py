@@ -9,8 +9,12 @@ equals (1/pi) <alpha|rho|alpha> computed from a density matrix, and the
 Wigner function is the density matrix's displaced parity at the grid's own
 points.  W and the characteristic function are one sum over the diagonals of
 the density matrix, a Laguerre series in |xi|^2 whose recurrence runs for all
-diagonals at once, once per distinct |xi|^2 of an array of xi, and is then
-gathered onto the array, with exactly the values a per-point sum gives.
+diagonals at once in three rotating buffers, once per distinct |xi|^2 of an
+array of xi.  The sum over the diagonals k is then assembled at each xi by
+Horner's rule in xi/|xi|, with |xi|^k/sqrt(k!) folded into the per-|xi|^2
+sums; for chi, the diagonals -k add the conjugate of the Horner sum at -xi.
+A scalar xi runs as a one-element array, so it gives exactly the value of
+the same point in an array.
 """
 
 from __future__ import annotations
@@ -97,14 +101,28 @@ def characteristic_function(rho: FockDensityMatrix, xi, ordering: str = "normal"
 
 def _displaced_trace(rho: FockDensityMatrix, xi: np.ndarray, exponent: float, parity: bool):
     """Tr[rho D(xi) Pi] e^{(exponent + 1/2)|xi|^2} on a complex xi array, where
-    Pi is the parity (-1)^{a^dagger a} if ``parity`` and the identity if not."""
+    Pi is the parity (-1)^{a^dagger a} if ``parity`` and the identity if not.
+
+    With S_k the Laguerre sum of diagonal k, the value is
+    e^{exponent |xi|^2} sum_k xi^k / sqrt(k!) S_k plus the diagonals -k,
+    summed by Horner's rule from the highest k down.
+    """
     cutoff = rho.cutoff
-    x = np.abs(xi) ** 2
+    shape = xi.shape
+    # A scalar xi runs as a one-element array, on the same ufunc loops as an
+    # array, so that both give the same bits.
+    xi = xi.reshape(-1)
+    r = np.abs(xi)
+    x = r**2
+    levels = np.arange(cutoff)
     # coeffs[k, n] = rho[n, n+k] sqrt(n! k!/(n+k)!), times (-1)^n with parity
+    ratios = np.ones((cutoff, cutoff))
+    ratios[:, 1:] = levels[1:] / (levels[:, None] + levels[1:])
+    tops = levels[:, None] + levels
+    inside = tops < cutoff
     coeffs = np.zeros((cutoff, cutoff), dtype=complex)
-    for k in range(cutoff):
-        ratios = np.arange(1.0, cutoff - k) / np.arange(k + 1.0, cutoff)
-        coeffs[k, : cutoff - k] = np.sqrt(np.cumprod(np.concatenate(([1.0], ratios)))) * rho.elements.diagonal(k)
+    coeffs[inside] = rho.elements[np.broadcast_to(levels, tops.shape)[inside], tops[inside]]
+    coeffs *= np.sqrt(np.cumprod(ratios, axis=1))
     # Only the diagonals k with a nonzero coefficient contribute: from here
     # on, row j of coeffs is diagonal ks[j].
     ks = np.flatnonzero(coeffs.any(axis=1))
@@ -114,31 +132,48 @@ def _displaced_trace(rho: FockDensityMatrix, xi: np.ndarray, exponent: float, pa
     # The Laguerre sums depend on x alone: run them once per distinct x, for
     # every diagonal at once.  At step n only the diagonals k < cutoff - n
     # hold a row n, so the rest are dropped before their L_n^(k) is formed.
+    # L_{n+1}^(k) = (rise[n, k] - x/(n+1)) L_n^(k) - fall[n, k] L_{n-1}^(k),
+    # in three buffers that take turns holding L_{n-1}, L_n and L_{n+1}.
+    # The sums are kept as real and imaginary parts, which is cheaper than a
+    # complex product with the real L_n^(k).
     radii, where = np.unique(x, return_inverse=True)
-    total = np.zeros((ks.size, radii.size), dtype=complex)
-    # L_{n-1}^(k)(x), L_n^(k)(x), one row per live diagonal k
-    lag_prev, lag = np.zeros((ks.size, radii.size)), np.ones((ks.size, radii.size))
-    lives, kcol = np.searchsorted(ks, cutoff - np.arange(cutoff)), ks[:, None]
-    for n, live in enumerate(lives):
-        k, lag_prev, lag = kcol[:live], lag_prev[:live], lag[:live]
-        total[:live] += coeffs[:live, n, None] * lag
-        lag_prev, lag = lag, ((2 * n + 1 + k - radii) * lag - (n + k) * lag_prev) / (n + 1)
-    # xi^k / sqrt(k!) times e^{exponent x}, built up over k up to the last
-    # nonzero diagonal.
-    prefactor = np.exp(exponent * x)
-    out = np.zeros_like(xi)
-    sums = dict(zip(ks.tolist(), total))
-    for k in range(int(ks[-1]) + 1):
-        if k:
-            prefactor = prefactor * xi / math.sqrt(k)
-        if k not in sums:
-            continue
-        # np.multiply keeps a scalar xi on the same ufunc loop as an array.
-        term = np.multiply(prefactor, sums[k][where])
-        # rho is Hermitian, so diagonal -k adds the conjugate, times (-1)^k
-        # without parity; with parity that sign cancels against Pi's.
-        out += term + (1 if parity else (-1) ** k) * np.conj(term) if k else term
-    return out
+    real, imag = np.zeros((2, ks.size, radii.size))
+    coeffs_real, coeffs_imag = coeffs.real.T.copy(), coeffs.imag.T.copy()
+    steps = levels[:, None] + 1.0
+    rise, fall = (2.0 * levels[:, None] + 1.0 + ks) / steps, (levels[:, None] + ks) / steps
+    lag_prev, lag, lag_next = np.zeros((ks.size, radii.size)), np.ones((ks.size, radii.size)), np.empty_like(real)
+    for n, live in enumerate(np.searchsorted(ks, cutoff - levels).tolist()):
+        now, nxt, prev = lag[:live], lag_next[:live], lag_prev[:live]
+        real[:live] += coeffs_real[n, :live, None] * now
+        imag[:live] += coeffs_imag[n, :live, None] * now
+        np.subtract(rise[n, :live, None], radii / steps[n], out=nxt)
+        nxt *= now
+        prev *= fall[n, :live, None]
+        nxt -= prev
+        lag_prev, lag, lag_next = lag, lag_next, lag_prev
+    # scaled[j] = e^{exponent x} |xi|^k / sqrt(k!) S_k per distinct x, so that
+    # the sum over diagonals is sum_k (xi/|xi|)^k scaled[j], by Horner.
+    # rho is Hermitian, so diagonal -k adds the conjugate of diagonal k's
+    # term times (-1)^k without parity: the conjugate of the Horner sum at
+    # -xi/|xi|.  With parity that sign cancels against Pi's.
+    norms = np.sqrt(radii)
+    powers = np.ones((int(ks[-1]) + 1, radii.size))
+    np.cumprod(norms / np.sqrt(np.arange(1.0, ks[-1] + 1.0))[:, None], axis=0, out=powers[1:])
+    weights = powers[ks] * np.exp(exponent * radii)
+    scaled = np.empty((ks.size, radii.size), dtype=complex)
+    scaled.real, scaled.imag = real * weights, imag * weights
+    phase = np.divide(xi, r, out=np.ones_like(xi), where=r > 0)
+    rows = dict(zip(ks.tolist(), scaled))
+    phases = (phase,) if parity else (phase, -phase)
+    sums = [np.zeros_like(xi) for _ in phases]
+    for k in range(int(ks[-1]), 0, -1):
+        term = rows[k][where] if k in rows else 0.0
+        # Out of place: numpy's in-place complex product on a one-element
+        # array can round differently from the same product on a longer one.
+        sums = [(h + term) * w for h, w in zip(sums, phases)]
+    out = rows[0][where] if 0 in rows else np.zeros_like(xi)
+    out += sums[0] + np.conj(sums[-1])
+    return out.reshape(shape)
 
 
 def _q_values(p, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from phasebath import (
 )
 from phasebath.fock import thermal_populations
 from phasebath.lindblad import _poisson_tail
-from phasebath.states import FAMILY_TABLE, parse_state_spec
+from phasebath.states import FAMILY_TABLE, default_cutoff, parse_state_spec
 
 
 def _diagonal_generator(k: int, cutoff: int, bath: BathParams) -> np.ndarray:
@@ -41,6 +41,55 @@ def _diagonal_generator(k: int, cutoff: int, bath: BathParams) -> np.ndarray:
         + np.diag(2.0 * gamma * (1.0 + nbar) * gain, 1)
         + np.diag(2.0 * gamma * nbar * gain, -1)
     )
+
+
+def _binomial_channel(diagonals: np.ndarray, ks: np.ndarray, p: float, q: float, down: bool) -> np.ndarray:
+    """One operator-sum channel with binomial weights, on diagonals[j, m] = rho[m, m + ks[j]].
+
+    With w_l[j, m] = p^(m + k/2) q^l sqrt(C(m+l, l) C(m+k+l, l)), k = ks[j],
+    the result at [j, m] sums w_l[j, m] diagonals[j, m + l] if ``down`` (level
+    m + l feeds level m) and w_l[j, m - l] diagonals[j, m - l] if not (level m
+    feeds level m + l).  Every w_l is the geometric mean of two binomial
+    probabilities (negative binomial ones over p if not ``down``), so it is at
+    most 1 (1/p), and the positive-factor recurrence in l neither overflows
+    nor cancels.
+    """
+    n = diagonals.shape[1]
+    m = np.arange(n, dtype=float)
+    mk = m + ks[:, None]
+    w = p ** (0.5 * (m + mk))
+    out = w * diagonals
+    for l in range(1, n if q > 0.0 else 1):
+        w = w[:, : n - l] * (q / l) * np.sqrt((m[: n - l] + l) * (mk[:, : n - l] + l))
+        if not w.any():  # every later weight is a multiple of this one
+            break
+        if down:
+            out[:, : n - l] += w * diagonals[:, l:]
+        else:
+            out[:, l:] += w * diagonals[:, : n - l]
+    return out
+
+
+def _recurrence_integrate(rho0: FockDensityMatrix, bath: BathParams, t: float) -> np.ndarray:
+    """rho_t by the binomial recurrence above, one diagonal gathered and
+    scattered at a time: the reference for integrate's Toeplitz products."""
+    n = rho0.cutoff
+    el = np.asarray(rho0.elements)
+    rows, cols = np.nonzero(np.triu(el))
+    ks = np.unique(cols - rows)
+    diagonals = np.zeros((ks.size, n), dtype=complex)
+    for j, k in enumerate(ks.tolist()):
+        diagonals[j, : n - k] = el.diagonal(k)
+    eta2, spread = math.exp(-2.0 * bath.gamma * t), -math.expm1(-2.0 * bath.gamma * t)
+    gain = 1.0 + bath.nbar * spread
+    lost = _binomial_channel(diagonals, ks, eta2 / gain, (1.0 + bath.nbar) * spread / gain, down=True)
+    amplified = _binomial_channel(lost, ks, 1.0 / gain, bath.nbar * spread / gain, down=False) / gain
+    upper = np.zeros((n, n), dtype=complex)
+    for j, k in enumerate(ks.tolist()):
+        idx = np.arange(n - k)
+        upper[idx, idx + k] = amplified[j, : n - k]
+    strict = np.triu(upper, 1)
+    return strict + strict.conj().T + np.diag(upper.diagonal().real)
 
 
 def thermal_rho(mbar: float, cutoff: int) -> FockDensityMatrix:
@@ -151,6 +200,34 @@ class TestIntegration:
                 reference[idx, idx + k] = expm(t * generators[k]) @ el.diagonal(k)
                 reference[idx + k, idx] = np.conj(reference[idx, idx + k])
             assert np.max(np.abs(rho_t.elements[:block, :block] - reference[:block, :block])) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [40, 90])
+    @pytest.mark.parametrize("nbar", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("family", list(FAMILY_TABLE))
+    def test_matches_binomial_recurrence(self, family, nbar, cutoff):
+        spec = parse_state_spec({"family": family, **FAMILY_TABLE[family].example})
+        bath = BathParams(gamma=1.0, nbar=nbar)
+        rho0 = fock_density(spec, cutoff)
+        times = (1e-3, 0.2, 1.0, 3.0)
+        for t, rho_t in zip(times, integrate(rho0, bath, times)):
+            assert np.max(np.abs(rho_t.elements - _recurrence_integrate(rho0, bath, t))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "spec, nbar, cutoff",
+        [
+            # default_cutoff at mbar = 1, nbar = 20 is 695: six panels of levels
+            (StateSpec("thermal", mbar=1.0), 20.0, default_cutoff(StateSpec("thermal", mbar=1.0), 20.0)),
+            (StateSpec("coherent", beta=3.0 - 2.0j), 2.0, 200),
+        ],
+        ids=["thermal-default", "coherent-200"],
+    )
+    def test_large_cutoffs_stay_finite(self, spec, nbar, cutoff):
+        bath = BathParams(gamma=1.0, nbar=nbar)
+        rho0 = fock_density(spec, cutoff)
+        times = (1e-3, 0.2, 1.0, 3.0)
+        for t, rho_t in zip(times, integrate(rho0, bath, times)):
+            assert np.all(np.isfinite(rho_t.elements))
+            assert np.max(np.abs(rho_t.elements - _recurrence_integrate(rho0, bath, t))) <= 1e-13
 
     def test_long_time_underflow_stays_finite(self):
         # At t = 800/gamma, eta^2 = e^{-1600} underflows to 0: the loss

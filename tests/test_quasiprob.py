@@ -21,6 +21,54 @@ from phasebath import (
 )
 from phasebath.descriptors import GaussianP
 from phasebath.fock import displacement_matrix
+from phasebath.quasiprob import _ORDER_EXPONENT
+from phasebath.states import FAMILY_TABLE, parse_state_spec
+
+
+def _displaced_trace(rho: FockDensityMatrix, xi: np.ndarray, exponent: float, parity: bool):
+    """Tr[rho D(xi) Pi] e^{(exponent + 1/2)|xi|^2} on a complex xi array, where
+    Pi is the parity (-1)^{a^dagger a} if ``parity`` and the identity if not."""
+    cutoff = rho.cutoff
+    x = np.abs(xi) ** 2
+    # coeffs[k, n] = rho[n, n+k] sqrt(n! k!/(n+k)!), times (-1)^n with parity
+    coeffs = np.zeros((cutoff, cutoff), dtype=complex)
+    for k in range(cutoff):
+        ratios = np.arange(1.0, cutoff - k) / np.arange(k + 1.0, cutoff)
+        coeffs[k, : cutoff - k] = np.sqrt(np.cumprod(np.concatenate(([1.0], ratios)))) * rho.elements.diagonal(k)
+    # Only the diagonals k with a nonzero coefficient contribute: from here
+    # on, row j of coeffs is diagonal ks[j].
+    ks = np.flatnonzero(coeffs.any(axis=1))
+    coeffs = coeffs[ks]
+    if parity:
+        coeffs[:, 1::2] *= -1.0
+    # The Laguerre sums depend on x alone: run them once per distinct x, for
+    # every diagonal at once.  At step n only the diagonals k < cutoff - n
+    # hold a row n, so the rest are dropped before their L_n^(k) is formed.
+    radii, where = np.unique(x, return_inverse=True)
+    total = np.zeros((ks.size, radii.size), dtype=complex)
+    # L_{n-1}^(k)(x), L_n^(k)(x), one row per live diagonal k
+    lag_prev, lag = np.zeros((ks.size, radii.size)), np.ones((ks.size, radii.size))
+    lives, kcol = np.searchsorted(ks, cutoff - np.arange(cutoff)), ks[:, None]
+    for n, live in enumerate(lives):
+        k, lag_prev, lag = kcol[:live], lag_prev[:live], lag[:live]
+        total[:live] += coeffs[:live, n, None] * lag
+        lag_prev, lag = lag, ((2 * n + 1 + k - radii) * lag - (n + k) * lag_prev) / (n + 1)
+    # xi^k / sqrt(k!) times e^{exponent x}, built up over k up to the last
+    # nonzero diagonal.
+    prefactor = np.exp(exponent * x)
+    out = np.zeros_like(xi)
+    sums = dict(zip(ks.tolist(), total))
+    for k in range(int(ks[-1]) + 1):
+        if k:
+            prefactor = prefactor * xi / math.sqrt(k)
+        if k not in sums:
+            continue
+        # np.multiply keeps a scalar xi on the same ufunc loop as an array.
+        term = np.multiply(prefactor, sums[k][where])
+        # rho is Hermitian, so diagonal -k adds the conjugate, times (-1)^k
+        # without parity; with parity that sign cancels against Pi's.
+        out += term + (1 if parity else (-1) ** k) * np.conj(term) if k else term
+    return out
 
 
 def q_at(desc, alpha: complex) -> float:
@@ -206,6 +254,22 @@ class TestWigner:
         var_y = float(np.sum(Y**2 * grid.values)) * dx * dx
         assert var_x == pytest.approx(1.0 / (4.0 * s), abs=1e-4)
         assert var_y == pytest.approx(s / 4.0, abs=1e-4)
+
+    @pytest.mark.parametrize("family", list(FAMILY_TABLE))
+    def test_matches_laguerre_reference(self, family):
+        # The per-diagonal Laguerre sums and per-k prefactors above, against
+        # the Horner assembly, on every family's state after a bath.
+        spec = parse_state_spec({"family": family, **FAMILY_TABLE[family].example})
+        rho = integrate(fock_density(spec, 40), BathParams(gamma=1.0, nbar=0.5), [0.3])[0]
+        grid = square_grid(3.0, 25)
+        w = wigner_from_characteristic(rho, grid).values
+        xi = 2.0 * (grid.x_axis[:, None] + 1j * grid.x_axis[None, :])
+        expected = (2.0 / math.pi) * _displaced_trace(rho, xi, -0.5, parity=True).real
+        assert np.max(np.abs(w - expected)) <= 1e-14 * np.max(np.abs(expected))
+        for ordering, exponent in _ORDER_EXPONENT.items():
+            chi = characteristic_function(rho, xi / 4.0, ordering)
+            expected = _displaced_trace(rho, xi / 4.0, exponent, parity=False)
+            assert np.max(np.abs(chi - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_matches_parity_of_the_displaced_state(self):
         # W(alpha) = (2/pi) sum_k (-1)^k <k|D(alpha)^dagger rho D(alpha)|k>,
