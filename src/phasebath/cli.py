@@ -3,6 +3,11 @@
 Artifacts are written one file per (artifact, sample time), plus a JSON run
 manifest.  Data files are deterministic: identical configs produce
 byte-identical files, and no timestamps appear outside the manifest.
+
+The P, W and Q grids all come from the closed-form P_t, evaluated after the
+kernel of width 0, 1/2 or 1.  The Fock-basis density matrix is built and
+propagated only for ``oracle-compare`` (``--compare``), whose basis
+``--oracle-cutoff`` sizes.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .core import BathParams
 from .descriptors import evaluate_p, singular_part
 from .evolution import evolve_p_closed_form, evolved_moments
 from .lindblad import integrate, moments_from_rho
-from .quasiprob import PhaseSpaceGrid, p_to_q_grid, wigner_from_characteristic
+from .quasiprob import PhaseSpaceGrid
 from .states import (
     FAMILIES,
     FAMILY_TABLE,
@@ -34,6 +39,11 @@ from .states import (
 )
 
 ARTIFACTS = ("p-grid", "q-grid", "w-grid", "moments", "mandel-q", "variances", "oracle-compare")
+
+#: each grid artifact's quantity and the width of the kernel that takes P to
+#: it: the s-ordered distribution is P convolved at width (1 - s)/2 for
+#: s = 1, 0, -1 (Cahill & Glauber, Phys. Rev. 177, 1882 (1969))
+_GRID_KERNELS = {"p-grid": ("P", 0.0), "w-grid": ("W", 0.5), "q-grid": ("Q", 1.0)}
 
 @dataclasses.dataclass(frozen=True)
 class GridSpec:
@@ -93,6 +103,8 @@ class RunConfig:
             )
         if self.oracle_cutoff is not None and self.oracle_cutoff < 2:
             raise ValueError(f"oracle cutoff must be >= 2, got {self.oracle_cutoff}")
+        if self.oracle_cutoff is not None and "oracle-compare" not in self.outputs:
+            raise ValueError("the oracle cutoff sizes the --compare basis; it needs --compare")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
 
@@ -205,8 +217,8 @@ def run(config: RunConfig) -> int:
     axis = config.grid.axis()
     m0 = initial_moments(config.state)
 
-    needs_p = any(a in config.outputs for a in ("p-grid", "q-grid"))
-    needs_rho = any(a in config.outputs for a in ("w-grid", "oracle-compare"))
+    needs_p = any(a in config.outputs for a in _GRID_KERNELS)
+    needs_rho = "oracle-compare" in config.outputs
     rhos = None
     trace_deficits: list[float] = []
     if needs_rho:
@@ -228,20 +240,18 @@ def run(config: RunConfig) -> int:
         for artifact in config.outputs:
             name = f"{artifact}-{idx:03d}.{ext}"
             path = out_dir / name
-            if artifact == "p-grid":
-                singular = singular_part(form)
+            if artifact in _GRID_KERNELS:
+                quantity, width = _GRID_KERNELS[artifact]
+                # W and Q are always regular: every P width exceeds -1/2.
+                shown = form.convolved(1.0, width)
+                singular = singular_part(shown)
                 if singular:
                     raise ValueError(
                         f"state {config.state.family!r} at t={t} has a singular P "
                         f"function ({singular}); p-grid is not representable on a sample grid"
                     )
-                values = evaluate_p(form, axis[:, None], axis[None, :])
-                _write_grid(path, PhaseSpaceGrid(axis, axis, values, {"quantity": "P"}), ext)
-            elif artifact == "q-grid":
-                _write_grid(path, p_to_q_grid(form, axis, axis), ext)
-            elif artifact == "w-grid":
-                template = PhaseSpaceGrid(axis, axis, np.zeros((axis.size, axis.size)), {})
-                _write_grid(path, wigner_from_characteristic(rhos[idx], template), ext)
+                values = evaluate_p(shown, axis[:, None], axis[None, :])
+                _write_grid(path, PhaseSpaceGrid(axis, axis, values, {"quantity": quantity}), ext)
             elif artifact == "moments":
                 _write_record(path, _moments_record(t, mt), ext)
             elif artifact == "mandel-q":
@@ -338,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", type=Path, help="output directory")
     run_p.add_argument("--format", choices=("csv", "json"), help="data file format")
     run_p.add_argument("--outputs", help=f"comma-separated artifacts from: {', '.join(ARTIFACTS)}")
-    run_p.add_argument("--oracle-cutoff", type=int, help="basis size for the numeric reference")
+    run_p.add_argument("--oracle-cutoff", type=int, help="basis size for the --compare oracle")
     run_p.add_argument(
         "--compare",
         nargs="?",

@@ -243,8 +243,11 @@ def evaluate_p(desc, x, y) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if isinstance(desc, GaussianPolyP):
-        u, v = np.broadcast_arrays(x - desc.center.real, y - desc.center.imag)
-        return npoly.polyval2d(u, v, desc.coeffs) * np.exp(-(u * u + v * v) / desc.width)
+        # Horner in u on u's own shape, then in v on the broadcast grid: the
+        # same operations, in the same order, as polyval2d on broadcast u, v.
+        u, v = x - desc.center.real, y - desc.center.imag
+        poly = npoly.polyval(v, npoly.polyval(u, desc.coeffs), tensor=False)
+        return poly * np.exp(-(u * u + v * v) / desc.width)
     if isinstance(desc, GaussianP) and is_regular(desc):
         # Written so that equal widths give exp(-(u^2 + v^2)/w) / (pi w) exactly.
         u, v = x - desc.center.real, y - desc.center.imag

@@ -98,6 +98,9 @@ class FockDensityMatrix:
             raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
         if elements.shape != (self.cutoff, self.cutoff):
             raise ValueError("elements must be a cutoff x cutoff matrix")
+        # NaN fails every comparison below, so it must be caught here.
+        if not np.all(np.isfinite(elements)):
+            raise ValueError("matrix elements must be finite")
         if np.max(np.abs(elements - elements.conj().T)) > _HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian to tolerance")
         tr = float(elements.trace().real)

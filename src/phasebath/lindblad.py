@@ -203,7 +203,7 @@ def integrate(rho0: FockDensityMatrix, bath: BathParams, sample_times) -> list[F
         rho[levels, levels] = rho[levels, levels].real
         trace = float(rho.trace().real)
         drift = abs(trace - trace0)
-        if drift > _TRACE_DRIFT_LIMIT:
+        if not drift <= _TRACE_DRIFT_LIMIT:  # a NaN trace fails too
             raise RuntimeError(
                 f"trace drifted by {drift:.3e} at t = {t}; the cutoff ({n}) is too small"
             )

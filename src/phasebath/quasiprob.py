@@ -5,9 +5,11 @@ These are the verification bridge between the phase-space evolution engine and
 the number-basis oracle.  The antinormal distribution Q(alpha) is the
 bath map of ``descriptors`` at decay 1 and width 1, ``p.convolved(1.0, 1.0)``,
 evaluated pointwise; a sampled P is smoothed by quadrature instead.  Q also
-equals (1/pi) <alpha|rho|alpha> computed from a density matrix, and the
-Wigner function is the density matrix's displaced parity at the grid's own
-points.  W and the characteristic function are one sum over the diagonals of
+equals (1/pi) <alpha|rho|alpha> computed from a density matrix.  The
+command line writes W as ``p.convolved(1.0, 0.5)``; here the Wigner function
+of a density matrix is its displaced parity at the grid's own points, the
+Fock-side reference that the tests and demos hold the closed form to.
+W and the characteristic function are one sum over the diagonals of
 the density matrix, a Laguerre series in |xi|^2 whose recurrence runs for all
 diagonals at once in three rotating buffers, once per distinct |xi|^2 of an
 array of xi.  The sum over the diagonals k is then assembled at each xi by

@@ -22,7 +22,7 @@ from phasebath import (
 from phasebath import cli
 from phasebath.cli import GridSpec, RunConfig, main, state_catalog
 from phasebath.descriptors import evaluate_p
-from phasebath.quasiprob import PhaseSpaceGrid
+from phasebath.quasiprob import PhaseSpaceGrid, wigner_from_characteristic
 from phasebath.states import FAMILY_TABLE, parse_state_spec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -282,9 +282,11 @@ class TestRunContract:
 
     @pytest.mark.parametrize("family", list(FAMILY_TABLE))
     def test_w_grid_runs_on_the_default_window(self, tmp_path, family):
-        # W reaches past +-3 for most families here.  On the grid it matches
-        # the closed form, P_t smoothed by the width-1/2 kernel, up to basis
-        # truncation.
+        # W reaches past +-3 for most families here.  On the grid it is the
+        # closed form, P_t smoothed by the width-1/2 kernel, and it matches
+        # the displaced-parity W of the Fock-basis rho_t.  The basis is 60
+        # levels: at the default cutoff, truncation puts the squeezed
+        # example's t = 0 parity W 2.8e-8 off.
         entry = FAMILY_TABLE[family]
         flags = [f"--{key.replace('_', '-')}={value}" for key, value in entry.example.items()]
         times = (0.0, 0.3, 1.0)
@@ -294,12 +296,55 @@ class TestRunContract:
         )
         assert code == 0
         spec = parse_state_spec({"family": family, **entry.example})
+        bath = BathParams(gamma=1.0, nbar=0.4)
         axis = GridSpec().axis()
-        for idx, t in enumerate(times):
-            form = evolve_p_closed_form(spec, BathParams(gamma=1.0, nbar=0.4), t)
+        template = PhaseSpaceGrid(axis, axis, np.zeros((axis.size, axis.size)))
+        rhos = integrate(fock_density(spec, 60), bath, times)
+        for idx, (t, rho) in enumerate(zip(times, rhos)):
+            form = evolve_p_closed_form(spec, bath, t)
             expected = evaluate_p(form.convolved(1.0, 0.5), axis[:, None], axis[None, :])
             w = read_grid_csv(tmp_path / "out" / f"w-grid-{idx:03d}.csv")[:, 2].reshape(expected.shape)
             assert float(np.max(np.abs(w - expected))) < 1e-6
+            parity = wigner_from_characteristic(rho, template).values
+            assert float(np.max(np.abs(w - parity))) <= 1e-12
+
+    def test_grids_need_no_density_matrix(self, tmp_path, monkeypatch):
+        # P, W and Q all come from the closed-form P_t; only --compare builds rho.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid run built a density matrix")
+
+        monkeypatch.setattr(cli, "fock_density", refuse)
+        monkeypatch.setattr(cli, "integrate", refuse)
+        code = main(
+            ["run", "--state", "photon-added-thermal", "--mbar", "1", "--gamma", "1",
+             "--nbar", "0.4", "--times", "0,0.5", "--outputs", "p-grid,w-grid,q-grid",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["trace_deficits"] == [] and manifest["oracle_compare"] is None
+        assert len(list((tmp_path / "out").glob("w-grid-*.csv"))) == 2
+
+    def test_photon_added_coherent_w_is_negative(self, tmp_path):
+        # W of a^dagger|beta> / sqrt(1 + |beta|^2) is
+        # -2 (1 - |2 alpha - beta|^2) e^{-2|alpha - beta|^2} / (pi (1 + |beta|^2)),
+        # whose minimum is -0.28761 at alpha = 0.527 + 0.197i for this beta.
+        beta = 0.8 + 0.3j
+        code = main(
+            ["run", "--state", "photon-added-coherent", "--beta-re", "0.8", "--beta-im", "0.3",
+             "--gamma", "1", "--nbar", "0.4", "--times", "0", "--outputs", "w-grid",
+             "--grid=-1:1:201", "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+        rows = read_grid_csv(tmp_path / "out" / "w-grid-000.csv")
+        alpha = rows[:, 0] + 1j * rows[:, 1]
+        expected = (
+            -2.0 * (1.0 - np.abs(2.0 * alpha - beta) ** 2) * np.exp(-2.0 * np.abs(alpha - beta) ** 2)
+            / (math.pi * (1.0 + abs(beta) ** 2))
+        )
+        assert float(np.max(np.abs(rows[:, 2] - expected))) <= 1e-14
+        lowest = int(np.argmin(rows[:, 2]))
+        assert rows[lowest, 2] < -0.2875 and abs(alpha[lowest] - (0.53 + 0.2j)) < 1e-9
 
     def test_zero_temperature_photon_added_coherent_q_grid(self, tmp_path):
         # The pure-decay image of the delta-derivative P has a regular Q.
@@ -411,6 +456,20 @@ class TestRunContract:
         assert capsys.readouterr().err == f"error: oracle cutoff must be >= 2, got {cutoff}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_oracle_cutoff_needs_compare(self, tmp_path, capsys):
+        # The cutoff sizes only the --compare basis; alone it would do nothing.
+        code = main(
+            [
+                "run", "--state", "coherent", "--beta-re", "1", "--times", "0,1",
+                "--outputs", "moments,w-grid", "--oracle-cutoff", "40",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--compare" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("times", ["0,inf", "nan", "0,nan,1"])
     def test_non_finite_time_is_an_error(self, tmp_path, capsys, times):
         # inf used to pass validation, and the run wrote files before failing.
@@ -467,7 +526,7 @@ for name, entry in FAMILY_TABLE.items():
     regular = all(
         singular_part(evolve_p_closed_form(spec, BathParams(1.0, 1.0), t)) is None for t in times
     )
-    closed = (["p-grid"] if regular else []) + ["q-grid", "moments", "mandel-q", "variances"]
+    closed = (["p-grid"] if regular else []) + ["q-grid", "w-grid", "moments", "mandel-q", "variances"]
     for outputs, extra in ((closed, []), (["moments", "w-grid"], ["--compare"])):
         argv = ["run", "--state", name, "--gamma", "1", "--nbar", "1",
                 "--times", ",".join(map(str, times)), "--outputs", ",".join(outputs),
@@ -497,6 +556,7 @@ class TestImportSplit:
         assert "scipy.linalg" in result["control"]
         assert len(list(tmp_path.glob("thermal-0/p-grid-*.csv"))) == 2
         for name in FAMILY_TABLE:
+            assert len(list(tmp_path.glob(f"{name}-0/w-grid-*.csv"))) == 2
             assert len(list(tmp_path.glob(f"{name}-1/w-grid-*.csv"))) == 2
             assert len(list(tmp_path.glob(f"{name}-1/oracle-compare-*.csv"))) == 2
 
@@ -605,8 +665,9 @@ class TestGridWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_compare_example_files_are_unchanged(self, tmp_path, fmt):
         # tests/data/compare-example holds this oracle run's data files: W
-        # grids by displaced parity of rho_t, with rho_t from the closed-form
-        # thermal channel, its oracle-compare deviations, and the moments.
+        # grids from the closed-form P_t at the width-1/2 kernel, the
+        # oracle-compare deviations of rho_t from the closed-form thermal
+        # channel, and the moments.
         code = main(
             [
                 "run", "--state", "photon-added-coherent", "--beta-re", "0.5",

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from phasebath import (
+    BathParams,
     StateSpec,
     evaluate_p,
+    evolve_p_closed_form,
     fock_populations,
     initial_p_function,
     integral_p,
@@ -20,6 +23,15 @@ from phasebath.descriptors import (
     SampledGridP,
     is_regular,
 )
+from phasebath.states import FAMILY_TABLE, parse_state_spec
+
+TIMES = (0.0, 0.3, 1.0)
+
+
+def family_forms(family: str, bath: BathParams = BathParams(gamma=1.0, nbar=0.4)):
+    """P_t of the family's catalog example at each of TIMES."""
+    spec = parse_state_spec({"family": family, **FAMILY_TABLE[family].example})
+    return [evolve_p_closed_form(spec, bath, t) for t in TIMES]
 
 
 def thermal_gaussian(mbar: float) -> GaussianP:
@@ -41,6 +53,24 @@ class TestEvaluation:
     def test_anisotropic_gaussian_value(self):
         g = GaussianP(center=1.0 + 0j, width_x=0.5, width_y=2.0)
         assert evaluate_p(g, 2.0, 1.0) == pytest.approx(math.exp(-2.5) / math.pi)
+
+    @pytest.mark.parametrize("family", ["photon-added-thermal", "photon-added-coherent"])
+    def test_gaussian_polynomial_matches_polyval2d_bit_for_bit(self, family):
+        # The separable Horner runs the same operations in the same order as
+        # polyval2d on the broadcast grid, so no bit may differ.
+        x = np.linspace(-3.0, 3.0, 41)
+        y = np.linspace(-2.5, 3.5, 37)
+        polys = [
+            image
+            for form in family_forms(family)
+            for image in (form, form.convolved(1.0, 0.5), form.convolved(1.0, 1.0))
+            if isinstance(image, GaussianPolyP)
+        ]
+        assert len(polys) >= 6
+        for desc in polys:
+            u, v = np.broadcast_arrays(x[:, None] - desc.center.real, y[None, :] - desc.center.imag)
+            reference = npoly.polyval2d(u, v, desc.coeffs) * np.exp(-(u * u + v * v) / desc.width)
+            assert np.array_equal(evaluate_p(desc, x[:, None], y[None, :]), reference)
 
     def test_singular_kinds_refuse_pointwise_values(self):
         for desc in (
@@ -149,6 +179,14 @@ class TestBathMap:
         stepped = p0.convolved(eta1, w1).convolved(eta2, w2)
         direct = p0.convolved(eta1 * eta2, eta2 * eta2 * w1 + w2)
         np.testing.assert_allclose(self.values(stepped), self.values(direct), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("family", list(FAMILY_TABLE))
+    def test_s_ordered_maps_compose(self, family):
+        # W is P_t at width 1/2 and Q is P_t at width 1, so W at width 1/2 is Q.
+        for form in family_forms(family):
+            twice = self.values(form.convolved(1.0, 0.5).convolved(1.0, 0.5))
+            once = self.values(form.convolved(1.0, 1.0))
+            assert float(np.max(np.abs(twice - once))) <= 1e-14 * float(np.max(np.abs(once)))
 
     def test_zero_width_rescales_polynomial(self):
         # P(alpha/eta)/eta^2 multiplies the u^i v^j coefficient by eta^-(i+j+2).

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from phasebath.fock import annihilation, displacement_matrix, squeeze_matrix
+from phasebath.fock import FockDensityMatrix, annihilation, displacement_matrix, squeeze_matrix
 
 
 @pytest.mark.parametrize("beta", [0.3, 1.0 + 0.5j, -2.0j, 3.0 - 2.0j, 4.0 + 1.0j, -4.0 - 1.0j])
@@ -31,3 +31,9 @@ def test_squeeze_matches_expm(squeeze):
     assert np.max(np.abs(s - reference)) < 1e-13
     wide = squeeze_matrix(exponent, 156)
     assert np.max(np.abs(wide @ wide.T - np.eye(156))) < 1e-13
+
+
+def test_density_matrix_rejects_non_finite_elements():
+    # NaN fails every comparison in the Hermiticity, trace and eigenvalue checks.
+    with pytest.raises(ValueError, match="finite"):
+        FockDensityMatrix(3, np.diag([0.5, 0.5, np.nan]), 0.0)

@@ -265,6 +265,16 @@ class TestIntegration:
         rho = integrate(rho0, BathParams(gamma=1.0, nbar=0.5), [0.0])[0]
         assert np.array_equal(rho.elements, rho0.elements)
 
+    def test_nan_trace_trips_the_drift_guard(self, monkeypatch):
+        from phasebath import lindblad
+
+        monkeypatch.setattr(
+            lindblad, "_binomial_channel", lambda diagonals, *args, **kwargs: np.full_like(diagonals, np.nan)
+        )
+        rho0 = fock_density(StateSpec("thermal", mbar=0.4), 20)
+        with pytest.raises(RuntimeError, match="trace drifted by nan"):
+            integrate(rho0, BathParams(gamma=1.0, nbar=0.3), [0.5])
+
     def test_rejects_negative_time(self):
         rho0 = fock_density(StateSpec("thermal", mbar=0.4), 20)
         with pytest.raises(ValueError):
