@@ -17,7 +17,6 @@ from .descriptors import (
     GaussianP,
     GaussianPolyP,
     LaplacianDeltaP,
-    SampledGridP,
     evaluate_p,
     fock_populations,
     integral_p,

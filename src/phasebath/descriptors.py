@@ -10,9 +10,8 @@ A descriptor is one of:
 * ``LaplacianDeltaP`` -- exponentially weighted mixed second derivative of a
   delta, rescaled by a pure decay (the photon-added coherent form before the
   kernel has a width).
-* ``SampledGridP`` -- values tabulated on a uniform rectangular grid.
 
-Each closed-form kind has one operation, ``convolved(decay_factor, width)``:
+Each kind has one operation, ``convolved(decay_factor, width)``:
 its exact image under the Gaussian kernel that contracts the centre by the
 decay factor eta and adds ``width`` to the P width,
 
@@ -43,7 +42,6 @@ __all__ = [
     "GaussianP",
     "GaussianPolyP",
     "LaplacianDeltaP",
-    "SampledGridP",
     "evaluate_p",
     "integral_p",
     "is_regular",
@@ -53,28 +51,14 @@ __all__ = [
 ]
 
 _NORMALIZATION_TOL = 1e-8
+# Gauss-Legendre nodes per axis for the population integrals.
+_POPULATION_NODES = 240
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
-
-
-def checked_grid(x_axis, y_axis, values):
-    """Read-only float copies of a uniform rectangular grid, after validation."""
-    x, y, v = (_frozen_array(a) for a in (x_axis, y_axis, values))
-    for axis in (x, y):
-        steps = np.diff(axis)
-        if axis.ndim != 1 or axis.size < 2 or np.any(steps <= 0):
-            raise ValueError("axes must be strictly increasing 1-D arrays")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-            raise ValueError("axes must be uniformly spaced")
-    if v.shape != (x.size, y.size):
-        raise ValueError("values shape must be (len(x_axis), len(y_axis))")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("grid values must be finite")
-    return x, y, v
 
 
 @dataclass(frozen=True)
@@ -207,21 +191,6 @@ class LaplacianDeltaP:
         return GaussianPolyP(c * eta, width, coeffs)
 
 
-@dataclass(frozen=True, eq=False)
-class SampledGridP:
-    """Weight function tabulated on a uniform rectangular grid."""
-
-    x_axis: np.ndarray
-    y_axis: np.ndarray
-    values: np.ndarray
-    kind: ClassVar[str] = "sampled-grid"
-
-    def __post_init__(self):
-        arrays = checked_grid(self.x_axis, self.y_axis, self.values)
-        for name, arr in zip(("x_axis", "y_axis", "values"), arrays):
-            object.__setattr__(self, name, arr)
-
-
 def singular_part(desc) -> str | None:
     """What makes the descriptor a distribution, or None for an ordinary function."""
     if isinstance(desc, LaplacianDeltaP):
@@ -255,14 +224,6 @@ def evaluate_p(desc, x, y) -> np.ndarray:
         return np.exp(-(u * u + v * v * ratio) / desc.width_x) * (
             1.0 / (math.pi * math.sqrt(desc.width_x * desc.width_y))
         )
-    if isinstance(desc, SampledGridP):
-        from scipy.interpolate import RegularGridInterpolator
-
-        interp = RegularGridInterpolator(
-            (desc.x_axis, desc.y_axis), desc.values, bounds_error=False, fill_value=0.0
-        )
-        pts = np.stack(np.broadcast_arrays(x, y), axis=-1)
-        return interp(pts)
     raise TypeError(f"descriptor of kind {desc.kind!r} is singular; cannot evaluate pointwise")
 
 
@@ -284,8 +245,6 @@ def integral_p(desc) -> float:
     if isinstance(desc, (GaussianP, LaplacianDeltaP)):
         # Normalized by construction; the bath kernel preserves the mass.
         return 1.0
-    if isinstance(desc, SampledGridP):
-        return float(np.trapezoid(np.trapezoid(desc.values, desc.y_axis, axis=1), desc.x_axis))
     raise TypeError(f"unsupported descriptor {type(desc).__name__}")
 
 
@@ -301,7 +260,7 @@ def rescale_zero_temperature(desc, decay_factor: float):
     return desc.convolved(eta, 0.0)
 
 
-def fock_populations(desc, cutoff: int, nodes: int = 240) -> np.ndarray:
+def fock_populations(desc, cutoff: int) -> np.ndarray:
     """Number-state populations <k|rho|k> of the state described by ``desc``.
 
     p_k = integral P(alpha) e^{-|alpha|^2} |alpha|^{2k} / k! d2alpha,
@@ -321,19 +280,10 @@ def fock_populations(desc, cutoff: int, nodes: int = 240) -> np.ndarray:
         return np.exp(logp)
     if not is_regular(desc):
         raise TypeError(f"cannot take populations of singular kind {desc.kind!r}")
-    if isinstance(desc, SampledGridP):
-        cx, cy, half = (
-            0.5 * (desc.x_axis[0] + desc.x_axis[-1]),
-            0.5 * (desc.y_axis[0] + desc.y_axis[-1]),
-            0.5 * max(desc.x_axis[-1] - desc.x_axis[0], desc.y_axis[-1] - desc.y_axis[0]),
-        )
-        center, reach = complex(cx, cy), half
-    else:
-        center = desc.center
-        reach = 8.0 * math.sqrt(desc.width) + math.sqrt(cutoff) + 4.0
-    xs, wx = np.polynomial.legendre.leggauss(nodes)
-    xg = center.real + reach * xs
-    yg = center.imag + reach * xs
+    reach = 8.0 * math.sqrt(desc.width) + math.sqrt(cutoff) + 4.0
+    xs, wx = np.polynomial.legendre.leggauss(_POPULATION_NODES)
+    xg = desc.center.real + reach * xs
+    yg = desc.center.imag + reach * xs
     w2 = np.outer(wx, wx) * reach * reach
     X, Y = np.meshgrid(xg, yg, indexing="ij")
     pvals = evaluate_p(desc, X, Y)

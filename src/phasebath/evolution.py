@@ -5,7 +5,7 @@ A damped mode in a bath (gamma, nbar) maps an initial weight function P0 to
     P_t(alpha) = (1/(pi nbar_t)) integral P0(beta) exp(-|alpha - beta eta|^2 / nbar_t) d2beta
 
 with eta = e^{-gamma t} and nbar_t = nbar (1 - eta^2).  This is one map,
-``convolved(eta, nbar_t)``, that every closed-form descriptor kind carries
+``convolved(eta, nbar_t)``, that every descriptor kind carries
 (see ``descriptors``), so the evolved P is ``P0.convolved(eta, nbar_t)``
 for every catalog state.  At nbar = 0 the kernel has zero width and the
 map is the pure decay P0(alpha/eta)/eta^2.  ``convolve_p_numeric``
@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .core import BathParams, scale_bath
-from .descriptors import SampledGridP, evaluate_p, is_regular
+from .descriptors import evaluate_p, is_regular
 from .quadrature import adaptive_gauss_legendre_1d
 from .quasiprob import PhaseSpaceGrid
 from .states import MomentSet, StateSpec, initial_p_function
@@ -66,13 +66,7 @@ def evolved_moments(m0: MomentSet, bath: BathParams, t: float) -> MomentSet:
     )
 
 
-def convolve_p_numeric(
-    p0,
-    bath: BathParams,
-    t: float,
-    grid: PhaseSpaceGrid,
-    tol: float = 1e-9,
-) -> PhaseSpaceGrid:
+def convolve_p_numeric(p0, bath: BathParams, t: float, grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
     """Propagate a regular P by direct evaluation of the convolution integral.
 
     Adaptive tensor Gauss-Legendre quadrature; the kernel is separable, so the
@@ -85,28 +79,12 @@ def convolve_p_numeric(
     if not is_regular(p0):
         raise TypeError(f"cannot convolve a singular descriptor of kind {p0.kind!r}")
     scaled = scale_bath(bath, t)
-    nt = scaled.nbar_t
+    eta, nt = scaled.decay_factor, scaled.nbar_t
     if nt <= 0.0:
         raise ValueError("kernel width nbar_t must be positive; use the pure-decay path")
     x = np.asarray(grid.x_axis)
     y = np.asarray(grid.y_axis)
-    values, err = _convolve_regular(p0, scaled.decay_factor, nt, x, y, tol)
-    meta = dict(grid.meta)
-    meta.update(quantity="P", time=t, method="quadrature", quadrature_error=err)
-    return PhaseSpaceGrid(x, y, values, meta)
-
-
-def _convolve_regular(p0, eta, nt, x, y, tol):
-    """Separable adaptive Gauss-Legendre quadrature of the convolution."""
-    if isinstance(p0, SampledGridP):
-        box_x = (float(p0.x_axis[0]), float(p0.x_axis[-1]))
-        box_y = (float(p0.y_axis[0]), float(p0.y_axis[-1]))
-        start = max(64, p0.x_axis.size)
-    else:
-        reach = abs(p0.center) + 8.0 * math.sqrt(p0.width)
-        box_x = box_y = (-reach, reach)
-        start = 96
-
+    reach = abs(p0.center) + 8.0 * math.sqrt(p0.width)
     root = math.sqrt(nt)
 
     def evaluate(nodes_x, w_x, nodes_y, w_y):
@@ -115,4 +93,7 @@ def _convolve_regular(p0, eta, nt, x, y, tol):
         ky = np.exp(-((y[:, None] - eta * nodes_y[None, :]) / root) ** 2) * w_y
         return kx @ pvals @ ky.T / (math.pi * nt)
 
-    return adaptive_gauss_legendre_1d(evaluate, box_x, box_y, tol=tol, start=start)
+    values, err = adaptive_gauss_legendre_1d(evaluate, (-reach, reach), (-reach, reach))
+    meta = dict(grid.meta)
+    meta.update(quantity="P", time=t, method="quadrature", quadrature_error=err)
+    return PhaseSpaceGrid(x, y, values, meta)

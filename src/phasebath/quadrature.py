@@ -6,9 +6,13 @@ import numpy as np
 
 __all__ = ["QuadratureError", "adaptive_gauss_legendre_1d", "gauss_legendre_nodes"]
 
+TOLERANCE = 1e-9
+START_NODES = 96
+MAX_NODES = 1536
+
 
 class QuadratureError(RuntimeError):
-    """Raised when refinement stalls above the requested tolerance."""
+    """Raised when refinement stalls above the tolerance."""
 
     def __init__(self, message: str, error_estimate: float):
         super().__init__(f"{message} (error estimate {error_estimate:.3e})")
@@ -22,28 +26,22 @@ def gauss_legendre_nodes(lo: float, hi: float, n: int):
     return lo + half * (xs + 1.0), ws * half
 
 
-def adaptive_gauss_legendre_1d(
-    evaluate,
-    box_x,
-    box_y,
-    tol: float = 1e-9,
-    start: int = 96,
-    max_nodes: int = 1536,
-):
+def adaptive_gauss_legendre_1d(evaluate, box_x, box_y):
     """Refine a separable tensor rule until the result stabilizes.
 
     ``evaluate(nodes_x, w_x, nodes_y, w_y)`` must return the full output array
-    for one tensor rule; node counts double until the sup-norm change drops
-    below ``tol``.  Returns (values, error_estimate).
+    for one tensor rule; node counts double from ``START_NODES`` until the
+    sup-norm change drops below ``TOLERANCE``, and give up at ``MAX_NODES``.
+    Returns (values, error_estimate).
     """
-    n = start
+    n = START_NODES
     prev = evaluate(*gauss_legendre_nodes(*box_x, n), *gauss_legendre_nodes(*box_y, n))
     err = np.inf
-    while n < max_nodes:
+    while n < MAX_NODES:
         n *= 2
         cur = evaluate(*gauss_legendre_nodes(*box_x, n), *gauss_legendre_nodes(*box_y, n))
         err = float(np.max(np.abs(cur - prev)))
         prev = cur
-        if err < tol:
+        if err < TOLERANCE:
             return cur, err
     raise QuadratureError("quadrature did not converge to tolerance", err)

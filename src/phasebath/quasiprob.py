@@ -4,11 +4,11 @@ and the symmetric-ordering distribution by displaced parity.
 These are the verification bridge between the phase-space evolution engine and
 the number-basis oracle.  The antinormal distribution Q(alpha) is the
 bath map of ``descriptors`` at decay 1 and width 1, ``p.convolved(1.0, 1.0)``,
-evaluated pointwise; a sampled P is smoothed by quadrature instead.  Q also
-equals (1/pi) <alpha|rho|alpha> computed from a density matrix.  The
-command line writes W as ``p.convolved(1.0, 0.5)``; here the Wigner function
-of a density matrix is its displaced parity at the grid's own points, the
-Fock-side reference that the tests and demos hold the closed form to.
+evaluated pointwise.  Q also equals (1/pi) <alpha|rho|alpha> computed from a
+density matrix.  The command line writes W as ``p.convolved(1.0, 0.5)``; here
+the Wigner function of a density matrix is its displaced parity at the grid's
+own points, the Fock-side reference that the tests and demos hold the closed
+form to.
 W and the characteristic function are one sum over the diagonals of
 the density matrix, a Laguerre series in |xi|^2 whose recurrence runs for all
 diagonals at once in three rotating buffers, once per distinct |xi|^2 of an
@@ -27,9 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptors import SampledGridP, checked_grid, evaluate_p
+from .descriptors import _frozen_array, evaluate_p
 from .fock import FockDensityMatrix
-from .quadrature import gauss_legendre_nodes
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -41,6 +40,22 @@ __all__ = [
 # chi_ordering(xi) = chi_normal(xi) e^{c |xi|^2}, with c per ordering
 _ORDER_EXPONENT = {"normal": 0.0, "symmetric": -0.5, "antinormal": -1.0}
 ORDERINGS = tuple(_ORDER_EXPONENT)
+
+
+def checked_grid(x_axis, y_axis, values):
+    """Read-only float copies of a uniform rectangular grid, after validation."""
+    x, y, v = (_frozen_array(a) for a in (x_axis, y_axis, values))
+    for axis in (x, y):
+        steps = np.diff(axis)
+        if axis.ndim != 1 or axis.size < 2 or np.any(steps <= 0):
+            raise ValueError("axes must be strictly increasing 1-D arrays")
+        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
+            raise ValueError("axes must be uniformly spaced")
+    if v.shape != (x.size, y.size):
+        raise ValueError("values shape must be (len(x_axis), len(y_axis))")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("grid values must be finite")
+    return x, y, v
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,31 +193,13 @@ def _displaced_trace(rho: FockDensityMatrix, xi: np.ndarray, exponent: float, pa
     return out.reshape(shape)
 
 
-def _q_values(p, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Q(alpha) = (1/pi) integral P(beta) e^{-|alpha-beta|^2} d2beta on the
-    grid of an x column X and a y row Y."""
-    if isinstance(p, PhaseSpaceGrid):
-        p = SampledGridP(p.x_axis, p.y_axis, p.values)
-    if not isinstance(p, SampledGridP):
-        # The unit-width kernel without decay is exactly this smoothing.
-        return evaluate_p(p.convolved(1.0, 1.0), X, Y)
-    xs, wx = gauss_legendre_nodes(float(p.x_axis[0]), float(p.x_axis[-1]), 4 * p.x_axis.size)
-    ys, wy = gauss_legendre_nodes(float(p.y_axis[0]), float(p.y_axis[-1]), 4 * p.y_axis.size)
-    pv = evaluate_p(p, xs[:, None], ys[None, :])
-    kx = np.exp(-((X.ravel()[:, None] - xs[None, :]) ** 2)) * wx
-    ky = np.exp(-((Y.ravel()[:, None] - ys[None, :]) ** 2)) * wy
-    return kx @ pv @ ky.T / math.pi
-
-
-def p_to_q_grid(p, x_axis, y_axis, meta: dict | None = None) -> PhaseSpaceGrid:
-    """Antinormal distribution of a weight function, on a grid."""
+def p_to_q_grid(p, x_axis, y_axis) -> PhaseSpaceGrid:
+    """Antinormal distribution of a descriptor on a grid: the unit-width
+    kernel without decay, Q(alpha) = (1/pi) integral P(beta) e^{-|alpha-beta|^2} d2beta."""
     x = np.asarray(x_axis, dtype=float)
     y = np.asarray(y_axis, dtype=float)
-    values = _q_values(p, x[:, None], y[None, :])
-    out_meta = {"quantity": "Q"}
-    if meta:
-        out_meta.update(meta)
-    return PhaseSpaceGrid(x, y, values, out_meta)
+    values = evaluate_p(p.convolved(1.0, 1.0), x[:, None], y[None, :])
+    return PhaseSpaceGrid(x, y, values, {"quantity": "Q"})
 
 
 def wigner_from_characteristic(rho: FockDensityMatrix, grid: PhaseSpaceGrid) -> PhaseSpaceGrid:

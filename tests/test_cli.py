@@ -1,5 +1,6 @@
 """Command-line surface: file contracts, determinism, and the compare gate."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -559,6 +560,25 @@ class TestImportSplit:
             assert len(list(tmp_path.glob(f"{name}-0/w-grid-*.csv"))) == 2
             assert len(list(tmp_path.glob(f"{name}-1/w-grid-*.csv"))) == 2
             assert len(list(tmp_path.glob(f"{name}-1/oracle-compare-*.csv"))) == 2
+
+    def test_package_source_never_imports_scipy(self):
+        # Any import, at any depth: a lazy one inside a function would escape
+        # the route test above whenever no route reaches it.
+        found = []
+        for path in sorted((ROOT / "src" / "phasebath").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for name in names
+                    if name == "scipy" or name.startswith("scipy.")
+                ]
+        assert found == []
 
 
 class TestListStates:

@@ -20,9 +20,9 @@ from phasebath.descriptors import (
     GaussianP,
     GaussianPolyP,
     LaplacianDeltaP,
-    SampledGridP,
     is_regular,
 )
+from phasebath.quasiprob import PhaseSpaceGrid
 from phasebath.states import FAMILY_TABLE, parse_state_spec
 
 TIMES = (0.0, 0.3, 1.0)
@@ -82,9 +82,9 @@ class TestEvaluation:
             with pytest.raises(TypeError):
                 evaluate_p(desc, 0.0, 0.0)
 
-    def test_sampled_grid_requires_uniform_axes(self):
+    def test_phase_space_grid_requires_uniform_axes(self):
         with pytest.raises(ValueError):
-            SampledGridP(
+            PhaseSpaceGrid(
                 x_axis=np.array([0.0, 1.0, 3.0]),
                 y_axis=np.array([0.0, 1.0, 2.0]),
                 values=np.zeros((3, 3)),
