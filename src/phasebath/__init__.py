@@ -15,8 +15,6 @@ from .core import (
 )
 from .descriptors import (
     GaussianP,
-    GaussianPolyP,
-    LaplacianDeltaP,
     evaluate_p,
     fock_populations,
     integral_p,

@@ -452,9 +452,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OverflowError) as exc:
         # RuntimeError covers the numerical guards: oracle trace drift and
-        # non-converged quadrature.
+        # non-converged quadrature; OverflowError a state too large for floats.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

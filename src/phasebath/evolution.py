@@ -4,14 +4,14 @@ A damped mode in a bath (gamma, nbar) maps an initial weight function P0 to
 
     P_t(alpha) = (1/(pi nbar_t)) integral P0(beta) exp(-|alpha - beta eta|^2 / nbar_t) d2beta
 
-with eta = e^{-gamma t} and nbar_t = nbar (1 - eta^2).  This is one map,
-``convolved(eta, nbar_t)``, that every descriptor kind carries
-(see ``descriptors``), so the evolved P is ``P0.convolved(eta, nbar_t)``
-for every catalog state.  At nbar = 0 the kernel has zero width and the
-map is the pure decay P0(alpha/eta)/eta^2.  ``convolve_p_numeric``
-computes the same integral by quadrature from a regular P, as an
-independent cross-check; a singular P is checked through the semigroup
-law, by convolving its regular image at a later time.
+with eta = e^{-gamma t} and nbar_t = nbar (1 - eta^2).  This is the one map
+of the one descriptor kind, ``convolved(eta, nbar_t)`` (see ``descriptors``),
+so the evolved P is ``P0.convolved(eta, nbar_t)`` for every catalog state.
+At nbar = 0 the kernel has zero width and the map is the pure decay
+P0(alpha/eta)/eta^2.  ``convolve_p_numeric`` computes the same integral by
+quadrature from a regular P, as an independent cross-check; a singular P is
+checked through the semigroup law, by convolving its regular image at a
+later time.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .core import BathParams, scale_bath
-from .descriptors import evaluate_p, is_regular
+from .descriptors import evaluate_p, singular_part
 from .quadrature import adaptive_gauss_legendre_1d
 from .quasiprob import PhaseSpaceGrid
 from .states import MomentSet, StateSpec, initial_p_function
@@ -76,8 +76,9 @@ def convolve_p_numeric(p0, bath: BathParams, t: float, grid: PhaseSpaceGrid) -> 
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be positive, got {t}")
-    if not is_regular(p0):
-        raise TypeError(f"cannot convolve a singular descriptor of kind {p0.kind!r}")
+    singular = singular_part(p0)
+    if singular:
+        raise TypeError(f"cannot convolve a singular descriptor ({singular})")
     scaled = scale_bath(bath, t)
     eta, nt = scaled.decay_factor, scaled.nbar_t
     if nt <= 0.0:

@@ -1,9 +1,10 @@
 """Catalog of initial field states in three synchronized representations.
 
 Each catalog family provides a symbolic phase-space descriptor, a truncated
-number-basis density matrix, and closed-form initial moments.  Coherent,
-thermal, displaced-thermal and squeezed-coherent states share one descriptor,
-a Gaussian with signed per-axis widths.  The families:
+number-basis density matrix, and closed-form initial moments.  Every family
+has the one descriptor kind: a Gaussian with signed per-axis widths, bare for
+coherent, thermal, displaced-thermal and squeezed-coherent states, and with
+a gradient and a Laplacian of it for the photon-added states.  The families:
 
 * ``coherent(beta)``
 * ``thermal(mbar)``
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_amplitude
-from .descriptors import GaussianP, GaussianPolyP, LaplacianDeltaP
+from .descriptors import GaussianP
 from .fock import (
     FockDensityMatrix,
     annihilation,
@@ -79,7 +80,7 @@ FAMILIES = tuple(FAMILY_TABLE)
 
 @dataclass(frozen=True)
 class StateSpec:
-    """A catalog family plus its numeric parameters (unused ones ignored)."""
+    """A catalog family plus its finite numeric parameters (unused ones ignored)."""
 
     family: str
     beta: complex = 0j
@@ -90,6 +91,9 @@ class StateSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; known: {FAMILIES}")
         object.__setattr__(self, "beta", check_amplitude(self.beta))
+        for name in ("mbar", "squeeze"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.family == "photon-added-thermal":
             if not self.mbar > 0:
                 raise ValueError("photon-added-thermal requires mbar > 0")
@@ -131,6 +135,10 @@ class MomentSet:
 
     def __post_init__(self):
         object.__setattr__(self, "mean_a", check_amplitude(self.mean_a))
+        # NaN passes every comparison below, and inf is no moment.
+        fields = (self.mean_n, self.second_factorial, self.var_x, self.var_y)
+        if not all(map(math.isfinite, fields)):
+            raise ValueError("moments must be finite")
         slack = 1e-9
         if self.mean_n < -slack or self.second_factorial < -slack:
             raise ValueError("photon-number moments must be nonnegative")
@@ -155,15 +163,19 @@ def initial_p_function(spec: StateSpec):
     if f == "displaced-thermal":
         return GaussianP(spec.beta, spec.mbar, spec.mbar)
     if f == "photon-added-thermal":
+        # P = (1 + (m + 1)/4 Laplacian) G_m, with G_m the thermal Gaussian of width m
         m = spec.mbar
-        lead = (m + 1.0) / (math.pi * m**3)
-        coeffs = np.zeros((3, 3))
-        coeffs[0, 0] = -lead * m / (m + 1.0)
-        coeffs[2, 0] = lead
-        coeffs[0, 2] = lead
-        return GaussianPolyP(0j, m, coeffs)
+        lap = (m + 1.0) / 4.0
+        return GaussianP(0j, m, m, [[1.0, 0.0, lap], [0.0, 0.0, 0.0], [lap, 0.0, 0.0]])
     if f == "photon-added-coherent":
-        return LaplacianDeltaP(spec.beta)
+        # P = f Laplacian(delta_b) / (4 n) with f = e^{|alpha|^2 - |b|^2}, n = |b|^2 + 1.
+        # Moving f through the derivatives, f delta'' = f(b) delta'' - 2 f'(b) delta'
+        # + f''(b) delta, gives delta - (Re b d_u + Im b d_v) delta / n + Laplacian(delta) / (4 n).
+        b = spec.beta
+        n = abs(b) ** 2 + 1.0
+        lap = 0.25 / n
+        coeffs = [[1.0, -b.imag / n, lap], [-b.real / n, 0.0, 0.0], [lap, 0.0, 0.0]]
+        return GaussianP(b, 0.0, 0.0, coeffs)
     if f == "squeezed-coherent":
         s = spec.squeeze
         return GaussianP(spec.beta, (1.0 - s) / (2.0 * s), (s - 1.0) / 2.0)
@@ -180,7 +192,7 @@ def default_cutoff(spec: StateSpec, nbar: float = 0.0) -> int:
     number plus the bath occupation ``nbar`` it relaxes toward, raised until a
     thermal tail leaves little second factorial moment beyond the basis.
 
-    The tail's occupation m is the larger of the state's P width (none for
+    The tail's occupation m is the larger of the state's P width (zero for
     the delta derivative of a photon-added coherent state) and ``nbar``: the
     bath takes each P width w to w eta^2 + nbar (1 - eta^2), and a Gaussian P
     of width m has number-state weights falling as q^n, q = m/(1 + m).
@@ -189,7 +201,7 @@ def default_cutoff(spec: StateSpec, nbar: float = 0.0) -> int:
     """
     mean_n = initial_moments(spec).mean_n
     cutoff = max(30, math.ceil(8.0 * (mean_n + nbar + 1.0)))
-    m = max(getattr(initial_p_function(spec), "width", 0.0), nbar)
+    m = max(initial_p_function(spec).width, nbar)
     q = m / (1.0 + m)
     while q**cutoff * (cutoff * (cutoff - 1) + 2 * cutoff * m + 2 * m * m) > _TAIL_SECOND_FACTORIAL:
         cutoff += 1

@@ -1,13 +1,13 @@
 """Command-line surface: file contracts, determinism, and the compare gate."""
 
 import ast
-import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -414,9 +414,12 @@ class TestRunContract:
 
     def test_non_finite_deviation_fails_the_gate(self, tmp_path, monkeypatch, capsys):
         # max(0.0, nan) is 0.0, so a NaN deviation used to pass the gate.
+        # MomentSet rejects NaN itself, so a stand-in carries it to the gate.
         real = cli.moments_from_rho
         monkeypatch.setattr(
-            cli, "moments_from_rho", lambda rho: dataclasses.replace(real(rho), mean_n=math.nan)
+            cli,
+            "moments_from_rho",
+            lambda rho: SimpleNamespace(**{**vars(real(rho)), "mean_n": math.nan}),
         )
         for fmt in ("csv", "json"):
             code = main(
@@ -485,6 +488,29 @@ class TestRunContract:
         assert err.startswith("error: times must be finite and nonnegative")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            ["--state", "thermal", "--mbar", "nan"],
+            ["--state", "thermal", "--mbar", "inf"],
+            ["--state", "displaced-thermal", "--mbar", "nan"],
+            ["--state", "photon-added-thermal", "--mbar", "inf"],
+            ["--state", "squeezed-coherent", "--squeeze", "inf"],
+            ["--state", "coherent", "--beta-re", "1", "--nbar", "1e200"],
+            ["--state", "thermal", "--mbar", "1e200"],
+        ],
+        ids=lambda args: " ".join(args[1:]),
+    )
+    def test_non_finite_state_values_are_an_error(self, tmp_path, capsys, state):
+        # These runs wrote nan or inf moments and Mandel Q with exit 0, or
+        # ended in an OverflowError traceback with exit 1.
+        code = main(
+            ["run", *state, "--outputs", "moments,mandel-q", "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "state",

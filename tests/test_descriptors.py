@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as npoly
 
 from phasebath import (
     BathParams,
@@ -15,13 +14,9 @@ from phasebath import (
     initial_p_function,
     integral_p,
     rescale_zero_temperature,
+    scale_bath,
 )
-from phasebath.descriptors import (
-    GaussianP,
-    GaussianPolyP,
-    LaplacianDeltaP,
-    is_regular,
-)
+from phasebath.descriptors import GaussianP, is_regular, singular_part
 from phasebath.quasiprob import PhaseSpaceGrid
 from phasebath.states import FAMILY_TABLE, parse_state_spec
 
@@ -36,6 +31,35 @@ def family_forms(family: str, bath: BathParams = BathParams(gamma=1.0, nbar=0.4)
 
 def thermal_gaussian(mbar: float) -> GaussianP:
     return GaussianP(center=0j, width_x=mbar, width_y=mbar)
+
+
+def photon_added_reference(spec: StateSpec, eta: float, width: float, x, y) -> np.ndarray:
+    """A photon-added P0 under the bath map (eta, width), from explicit monomial forms.
+
+    Photon-added thermal: P0 = lead (|alpha|^2 - m/(m+1)) e^{-|alpha|^2/m} with
+    lead = (m+1)/(pi m^3).  Per axis, integral u^k e^{-u^2/m} e^{-(x - eta u)^2/width} du
+    = sqrt(pi m width / T) e^{-x^2/T} E[(a x + Z)^k], with T = eta^2 m + width,
+    a = eta m / T and Z ~ N(0, m width / (2 T)).
+
+    Photon-added coherent: P0 = e^{|alpha|^2 - |c|^2}/(|c|^2 + 1) d^2/(d alpha d alpha*)
+    delta2(alpha - c).  Integration by parts against the kernel
+    K = e^{-|alpha - eta beta|^2/width}/(pi width) gives
+    K(alpha, c) [(1 - eta^2/width) + |c + eta (alpha - eta c)/width|^2] / (|c|^2 + 1).
+    """
+    X, Y = x[:, None], y[None, :]
+    if spec.family == "photon-added-thermal":
+        m = spec.mbar
+        lead = (m + 1.0) / (math.pi * m**3)
+        total = eta * eta * m + width
+        a, var = eta * m / total, 0.5 * m * width / total
+        r2 = X * X + Y * Y
+        return (m / total) * lead * (a * a * r2 + 2.0 * var - m / (m + 1.0)) * np.exp(-r2 / total)
+    c = spec.beta
+    u, v = X - eta * c.real, Y - eta * c.imag
+    kernel = np.exp(-(u * u + v * v) / width) / (math.pi * width)
+    amp = eta / width
+    square = (c.real + amp * u) ** 2 + (c.imag + amp * v) ** 2
+    return kernel * ((1.0 - eta * eta / width) + square) / (abs(c) ** 2 + 1.0)
 
 
 class TestEvaluation:
@@ -55,28 +79,35 @@ class TestEvaluation:
         assert evaluate_p(g, 2.0, 1.0) == pytest.approx(math.exp(-2.5) / math.pi)
 
     @pytest.mark.parametrize("family", ["photon-added-thermal", "photon-added-coherent"])
-    def test_gaussian_polynomial_matches_polyval2d_bit_for_bit(self, family):
-        # The separable Horner runs the same operations in the same order as
-        # polyval2d on the broadcast grid, so no bit may differ.
+    def test_photon_added_images_match_monomial_reference(self, family):
+        # Every regular P, W and Q image of the Hermite series equals the
+        # polynomial-times-Gaussian closed form to within roundoff.
+        spec = parse_state_spec({"family": family, **FAMILY_TABLE[family].example})
+        bath = BathParams(gamma=1.0, nbar=0.4)
         x = np.linspace(-3.0, 3.0, 41)
         y = np.linspace(-2.5, 3.5, 37)
-        polys = [
-            image
-            for form in family_forms(family)
-            for image in (form, form.convolved(1.0, 0.5), form.convolved(1.0, 1.0))
-            if isinstance(image, GaussianPolyP)
-        ]
-        assert len(polys) >= 6
-        for desc in polys:
-            u, v = np.broadcast_arrays(x[:, None] - desc.center.real, y[None, :] - desc.center.imag)
-            reference = npoly.polyval2d(u, v, desc.coeffs) * np.exp(-(u * u + v * v) / desc.width)
-            assert np.array_equal(evaluate_p(desc, x[:, None], y[None, :]), reference)
+        checked = 0
+        for t, form in zip(TIMES, family_forms(family, bath)):
+            scaled = scale_bath(bath, t)
+            for width in (0.0, 0.5, 1.0):
+                image = form.convolved(1.0, width)
+                if not is_regular(image):
+                    continue
+                reference = photon_added_reference(
+                    spec, scaled.decay_factor, scaled.nbar_t + width, x, y
+                )
+                values = evaluate_p(image, x[:, None], y[None, :])
+                assert float(np.max(np.abs(values - reference))) <= 1e-14 * float(
+                    np.max(np.abs(reference))
+                )
+                checked += 1
+        assert checked >= 8
 
     def test_singular_kinds_refuse_pointwise_values(self):
         for desc in (
             GaussianP(1.0 + 0j, 0.0, 0.0),
             GaussianP(0j, -0.25, 0.5),
-            LaplacianDeltaP(0.5 + 0j),
+            initial_p_function(StateSpec("photon-added-coherent", beta=0.5)),
         ):
             assert not is_regular(desc)
             with pytest.raises(TypeError):
@@ -92,9 +123,11 @@ class TestEvaluation:
 
 
 class TestNormalization:
-    def test_gaussian_poly_enforces_unit_mass(self):
-        with pytest.raises(ValueError):
-            GaussianPolyP(center=0j, width=1.0, coeffs=np.array([[2.0 / math.pi]]))
+    def test_enforces_unit_mass(self):
+        # The mass is coeffs[0, 0]: derivatives of the Gaussian integrate to zero.
+        for bad in ([[2.0 / math.pi]], [[1.0, 0.0], [math.nan, 0.0]]):
+            with pytest.raises(ValueError):
+                GaussianP(center=0j, width_x=1.0, width_y=1.0, coeffs=bad)
 
     def test_unit_mass_kinds(self):
         assert integral_p(GaussianP(2.0 + 1.0j, 0.0, 0.0)) == 1.0
@@ -188,17 +221,20 @@ class TestBathMap:
             once = self.values(form.convolved(1.0, 1.0))
             assert float(np.max(np.abs(twice - once))) <= 1e-14 * float(np.max(np.abs(once)))
 
-    def test_zero_width_rescales_polynomial(self):
-        # P(alpha/eta)/eta^2 multiplies the u^i v^j coefficient by eta^-(i+j+2).
+    def test_zero_width_scales_derivative_coefficients(self):
+        # P(alpha/eta)/eta^2 multiplies the d_u^i d_v^j coefficient by eta^(i+j).
         p0 = initial_p_function(StateSpec("photon-added-thermal", mbar=1.3))
         eta = 0.7
         out = rescale_zero_temperature(p0, eta)
         i, j = np.indices(p0.coeffs.shape)
         assert out.width == pytest.approx(1.3 * eta * eta, rel=1e-15)
-        np.testing.assert_allclose(out.coeffs, p0.coeffs * eta ** -(i + j + 2.0), rtol=1e-14)
+        np.testing.assert_allclose(out.coeffs, p0.coeffs * eta ** (i + j), rtol=1e-14)
 
     def test_zero_width_folds_decay_into_delta_derivative(self):
-        p0 = LaplacianDeltaP(1.0 + 0.5j)
+        p0 = initial_p_function(StateSpec("photon-added-coherent", beta=1.0 + 0.5j))
         out = p0.convolved(0.5, 0.0).convolved(0.4, 0.0)
-        assert isinstance(out, LaplacianDeltaP)
-        assert out.center == p0.center and out.decay == pytest.approx(0.2)
+        direct = p0.convolved(0.2, 0.0)
+        assert singular_part(out) == "a delta derivative"
+        assert out.center == pytest.approx(direct.center, rel=1e-15)
+        assert out.width_x == out.width_y == 0.0
+        np.testing.assert_allclose(out.coeffs, direct.coeffs, rtol=1e-15)

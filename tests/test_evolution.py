@@ -16,7 +16,7 @@ from phasebath import (
     initial_p_function,
     rescale_zero_temperature,
 )
-from phasebath.descriptors import GaussianP, GaussianPolyP
+from phasebath.descriptors import GaussianP
 
 
 class TestZeroTemperatureLaw:
@@ -96,19 +96,19 @@ class TestMandelQ:
 class TestClosedFormDistributions:
     def test_added_photon_thermal_coefficients(self):
         # mbar = 1, e^{-gamma t} = 1/2, bath nbar = 2:
-        # width w = mbar eta^2 + nbar_t = 0.25 + 1.5 = 1.75, and the quadratic
-        # coefficient is (mbar + 1) eta^2 / (pi w^3) = 2 * 0.25 / (pi 1.75^3).
+        # width w = mbar eta^2 + nbar_t = 0.25 + 1.5 = 1.75, and
+        # P_t = (const + quad |alpha|^2) e^{-|alpha|^2/w} with the quadratic
+        # coefficient (mbar + 1) eta^2 / (pi w^3) = 2 * 0.25 / (pi 1.75^3).
         spec = StateSpec("photon-added-thermal", mbar=1.0)
         bath = BathParams(gamma=1.0, nbar=2.0)
         form = evolve_p_closed_form(spec, bath, math.log(2.0))
-        assert isinstance(form, GaussianPolyP)
         w = 1.75
         quad = 2.0 * 0.25 / (math.pi * w**3)
         const = (1.5 - 0.25) / (math.pi * w**2)
-        assert form.width == pytest.approx(w)
-        np.testing.assert_allclose(form.coeffs[0, 0], const, rtol=1e-12)
-        np.testing.assert_allclose(form.coeffs[2, 0], quad, rtol=1e-12)
-        np.testing.assert_allclose(form.coeffs[0, 2], quad, rtol=1e-12)
+        assert form.width_x == form.width_y == pytest.approx(w)
+        assert evaluate_p(form, 0.0, 0.0) == pytest.approx(const, rel=1e-12)
+        at_one = (const + quad) * math.exp(-1.0 / w)
+        assert evaluate_p(form, 1.0, 0.0) == pytest.approx(at_one, rel=1e-12)
 
     def test_thermal_state_is_stationary(self):
         nbar = 1.3
@@ -123,7 +123,10 @@ class TestClosedFormDistributions:
     def test_time_zero_returns_initial_form(self):
         spec = StateSpec("photon-added-coherent", beta=1.0)
         form = evolve_p_closed_form(spec, BathParams(gamma=1.0, nbar=1.0), 0.0)
-        assert form.kind == initial_p_function(spec).kind
+        p0 = initial_p_function(spec)
+        assert form.center == p0.center
+        assert (form.width_x, form.width_y) == (p0.width_x, p0.width_y)
+        np.testing.assert_array_equal(form.coeffs, p0.coeffs)
 
 
 class TestNumericConvolution:
