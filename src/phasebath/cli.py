@@ -209,10 +209,12 @@ def _moments_record(t: float, m) -> dict:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one run; returns the process exit code."""
+    """Execute one run; returns the process exit code.
+
+    Every file's contents are computed before the first is written, so a run
+    that fails writes nothing.
+    """
     started = _time.perf_counter()
-    out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     ext = config.format
     axis = config.grid.axis()
     m0 = initial_moments(config.state)
@@ -232,14 +234,13 @@ def run(config: RunConfig) -> int:
         evolved = [r for t, r in zip(config.times, rhos) if t > 0]
         trace_deficits = [rho0.trace_deficit] + [r.trace_deficit for r in evolved]
 
-    files: list[str] = []
+    pending: list[tuple] = []  # (file name, writer, contents)
     deviations: list[float] = []
     for idx, t in enumerate(config.times):
         form = evolve_p_closed_form(config.state, config.bath, t) if needs_p else None
         mt = evolved_moments(m0, config.bath, t)
         for artifact in config.outputs:
             name = f"{artifact}-{idx:03d}.{ext}"
-            path = out_dir / name
             if artifact in _GRID_KERNELS:
                 quantity, width = _GRID_KERNELS[artifact]
                 # W and Q are always regular: every P width exceeds -1/2.
@@ -251,21 +252,19 @@ def run(config: RunConfig) -> int:
                         f"function ({singular}); p-grid is not representable on a sample grid"
                     )
                 values = evaluate_p(shown, axis[:, None], axis[None, :])
-                _write_grid(path, PhaseSpaceGrid(axis, axis, values, {"quantity": quantity}), ext)
-            elif artifact == "moments":
-                _write_record(path, _moments_record(t, mt), ext)
+                grid = PhaseSpaceGrid(axis, axis, values, {"quantity": quantity})
+                pending.append((name, _write_grid, grid))
+                continue
+            if artifact == "moments":
+                record = _moments_record(t, mt)
             elif artifact == "mandel-q":
-                _write_record(path, {"time": t, "mandel_q": float(mt.mandel_q())}, ext)
+                record = {"time": t, "mandel_q": float(mt.mandel_q())}
             elif artifact == "variances":
-                _write_record(
-                    path,
-                    {"time": t, "var_x": float(mt.var_x), "var_y": float(mt.var_y),
-                     "product": float(mt.var_x * mt.var_y)},
-                    ext,
-                )
-            elif artifact == "oracle-compare":
+                record = {"time": t, "var_x": float(mt.var_x), "var_y": float(mt.var_y),
+                          "product": float(mt.var_x * mt.var_y)}
+            else:  # oracle-compare
                 mo = moments_from_rho(rhos[idx])
-                row = {
+                record = {
                     "time": t,
                     "dev_mean_a": abs(mt.mean_a - mo.mean_a),
                     "dev_mean_n": abs(mt.mean_n - mo.mean_n),
@@ -273,9 +272,14 @@ def run(config: RunConfig) -> int:
                     "dev_var_x": abs(mt.var_x - mo.var_x),
                     "dev_var_y": abs(mt.var_y - mo.var_y),
                 }
-                deviations.extend(v for k, v in row.items() if k != "time")
-                _write_record(path, row, ext)
-            files.append(name)
+                deviations.extend(v for k, v in record.items() if k != "time")
+            pending.append((name, _write_record, record))
+
+    out_dir = config.output_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, write, contents in pending:
+        write(out_dir / name, contents, ext)
+    files = [name for name, _, _ in pending]
 
     # np.max propagates NaN, where max() would drop it
     worst_dev = float(np.max(deviations)) if deviations else 0.0

@@ -40,6 +40,7 @@ __all__ = [
     "evaluate_p",
     "integral_p",
     "is_regular",
+    "normal_moments",
     "singular_part",
     "rescale_zero_temperature",
     "fock_populations",
@@ -147,6 +148,38 @@ def evaluate_p(desc: GaussianP, x, y) -> np.ndarray:
 def integral_p(desc: GaussianP) -> float:
     """Total mass of the descriptor over the whole phase plane: its coeffs[0, 0]."""
     return float(desc.coeffs[0, 0])
+
+
+def normal_moments(desc: GaussianP) -> tuple[complex, float, float, complex]:
+    """<a>, <a^dag a>, <a^dag^2 a^2> and <a^2> of the state that ``desc`` describes.
+
+    P gives every normally ordered moment, <a^dag^m a^n> = integral P alpha*^m
+    alpha^n d2alpha, so these are sums of t[p][q] = integral P (Re alpha)^p
+    (Im alpha)^q, p + q <= 4.  Per axis, by parts, integral x^p d^i G_w(x - c) dx
+    = (-1)^i p!/(p - i)! nu_(p-i), with nu_k the raw moments of the normal law
+    of mean c and variance w/2; they are polynomials in w, so signed widths
+    need no special case.  The sums run over Python floats: an overflow gives
+    inf, never a numpy warning.
+    """
+    coeffs = desc.coeffs.tolist()
+
+    def axis(c: float, w: float, orders: int) -> list[list[float]]:
+        nu = [1.0, c]
+        for k in range(2, 5):
+            nu.append(c * nu[k - 1] + (k - 1) * 0.5 * w * nu[k - 2])
+        return [[(-1) ** i * math.perm(p, i) * nu[p - i] if i <= p else 0.0 for i in range(orders)]
+                for p in range(5)]
+
+    mx = axis(desc.center.real, desc.width_x, len(coeffs))
+    my = axis(desc.center.imag, desc.width_y, len(coeffs[0]))
+    t = [[sum(a * mx[p][i] * my[q][j] for i, row in enumerate(coeffs) for j, a in enumerate(row))
+          for q in range(5 - p)] for p in range(5)]
+    return (
+        complex(t[1][0], t[0][1]),
+        t[2][0] + t[0][2],
+        t[4][0] + 2.0 * t[2][2] + t[0][4],
+        complex(t[2][0] - t[0][2], 2.0 * t[1][1]),
+    )
 
 
 def rescale_zero_temperature(desc: GaussianP, decay_factor: float) -> GaussianP:

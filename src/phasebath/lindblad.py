@@ -178,7 +178,7 @@ def integrate(rho0: FockDensityMatrix, bath: BathParams, sample_times) -> list[F
     el = np.asarray(rho0.elements)
     trace0 = float(el.trace().real)
     rows, cols = np.nonzero(np.triu(el))
-    ks = np.unique(cols - rows)
+    ks = np.flatnonzero(np.bincount(cols - rows))  # sorted offsets; np.unique loads numpy.ma
     levels = np.arange(n)
     # diagonals[j, m] = rho0[m, m + ks[j]], zero past the end of the diagonal
     tops = levels + ks[:, None]

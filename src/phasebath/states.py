@@ -1,8 +1,9 @@
 """Catalog of initial field states in three synchronized representations.
 
-Each catalog family provides a symbolic phase-space descriptor, a truncated
-number-basis density matrix, and closed-form initial moments.  Every family
-has the one descriptor kind: a Gaussian with signed per-axis widths, bare for
+Each catalog family provides a symbolic phase-space descriptor and a
+truncated number-basis density matrix; its initial moments are integrated
+from the descriptor (``descriptors.normal_moments``).  Every family has the
+one descriptor kind: a Gaussian with signed per-axis widths, bare for
 coherent, thermal, displaced-thermal and squeezed-coherent states, and with
 a gradient and a Laplacian of it for the photon-added states.  The families:
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_amplitude
-from .descriptors import GaussianP
+from .descriptors import GaussianP, normal_moments
 from .fock import (
     FockDensityMatrix,
     annihilation,
@@ -199,9 +200,10 @@ def default_cutoff(spec: StateSpec, nbar: float = 0.0) -> int:
     Beyond N levels that tail holds
     sum_{n >= N} n(n-1)(1-q) q^n = q^N (N(N-1) + 2Nm + 2m^2).
     """
-    mean_n = initial_moments(spec).mean_n
+    p0 = initial_p_function(spec)
+    mean_n = normal_moments(p0)[1]
     cutoff = max(30, math.ceil(8.0 * (mean_n + nbar + 1.0)))
-    m = max(initial_p_function(spec).width, nbar)
+    m = max(p0.width, nbar)
     q = m / (1.0 + m)
     while q**cutoff * (cutoff * (cutoff - 1) + 2 * cutoff * m + 2 * m * m) > _TAIL_SECOND_FACTORIAL:
         cutoff += 1
@@ -260,57 +262,10 @@ def _added_photon_deficit(spec: StateSpec, cutoff: int) -> float:
 
 
 def initial_moments(spec: StateSpec) -> MomentSet:
-    """Closed-form moments of the initial state."""
-    f = spec.family
-    b = spec.beta
-    if f == "coherent":
-        return _moments_from_operators(b, abs(b) ** 2, abs(b) ** 4, b * b)
-    if f == "thermal":
-        m = spec.mbar
-        return _moments_from_operators(0j, m, 2.0 * m * m, 0j)
-    if f == "displaced-thermal":
-        m = spec.mbar
-        nsq = abs(b) ** 2
-        return _moments_from_operators(
-            b, nsq + m, nsq * nsq + 4.0 * nsq * m + 2.0 * m * m, b * b
-        )
-    if f == "photon-added-thermal":
-        m = spec.mbar
-        return _moments_from_operators(0j, 2.0 * m + 1.0, 6.0 * m * m + 4.0 * m, 0j)
-    if f == "photon-added-coherent":
-        nsq = abs(b) ** 2
-        norm = nsq + 1.0
-        mean_a = b * (nsq + 2.0) / norm
-        mean_n = (nsq * nsq + 3.0 * nsq + 1.0) / norm
-        second = (nsq**3 + 5.0 * nsq * nsq + 4.0 * nsq) / norm
-        a_sq = b * b * (nsq + 3.0) / norm
-        return _moments_from_operators(mean_a, mean_n, second, a_sq)
-    if f == "squeezed-coherent":
-        r = 0.5 * math.log(spec.squeeze)
-        ch, sh = math.cosh(r), math.sinh(r)
-        nsq = abs(b) ** 2
-        mean_n = nsq + sh * sh
-        a_sq = b * b - ch * sh
-        second = (
-            nsq * nsq
-            + 4.0 * nsq * sh * sh
-            - 2.0 * ch * sh * (b * b).real
-            + ch * ch * sh * sh
-            + 2.0 * sh**4
-        )
-        return _moments_from_operators(b, mean_n, second, a_sq)
-    raise ValueError(f"unknown family {f!r}")
-
-
-def _moments_from_operators(mean_a, mean_n, second_factorial, a_squared) -> MomentSet:
-    """Assemble a MomentSet from <a>, <n>, <a^dag^2 a^2>, <a^2>."""
-    re2 = (complex(a_squared)).real
-    var_x = (1.0 + 2.0 * mean_n + 2.0 * re2) / 4.0 - (complex(mean_a).real) ** 2
-    var_y = (1.0 + 2.0 * mean_n - 2.0 * re2) / 4.0 - (complex(mean_a).imag) ** 2
-    return MomentSet(
-        mean_a=complex(mean_a),
-        mean_n=float(mean_n),
-        second_factorial=float(second_factorial),
-        var_x=float(var_x),
-        var_y=float(var_y),
-    )
+    """Moments of the initial state, integrated from its P function, with
+    var X = (1 + 2<n> + 2 Re<a^2>)/4 - (Re<a>)^2 and
+    var Y = (1 + 2<n> - 2 Re<a^2>)/4 - (Im<a>)^2."""
+    mean_a, mean_n, second_factorial, a_squared = normal_moments(initial_p_function(spec))
+    var_x = (1.0 + 2.0 * mean_n + 2.0 * a_squared.real) / 4.0 - mean_a.real**2
+    var_y = (1.0 + 2.0 * mean_n - 2.0 * a_squared.real) / 4.0 - mean_a.imag**2
+    return MomentSet(mean_a, mean_n, second_factorial, var_x, var_y)

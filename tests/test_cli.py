@@ -20,9 +20,9 @@ from phasebath import (
     husimi_q_grid,
     integrate,
 )
-from phasebath import cli
+from phasebath import cli, states
 from phasebath.cli import GridSpec, RunConfig, main, state_catalog
-from phasebath.descriptors import evaluate_p
+from phasebath.descriptors import GaussianP, evaluate_p
 from phasebath.quasiprob import PhaseSpaceGrid, wigner_from_characteristic
 from phasebath.states import FAMILY_TABLE, parse_state_spec
 
@@ -513,6 +513,46 @@ class TestRunContract:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ["--state", "coherent", "--beta-re", "1", "--nbar", "1e200", "--times", "0,1",
+             "--outputs", "moments,mandel-q"],
+            ["--state", "coherent", "--beta-re", "1", "--nbar", "0.5", "--outputs", "moments,p-grid"],
+            ["--state", "coherent", "--outputs", "moments,mandel-q"],
+        ],
+        ids=["moments-overflow-at-t1", "singular-p-grid", "vacuum-mandel-q"],
+    )
+    def test_failed_run_writes_no_file(self, tmp_path, capsys, args):
+        # Each of these runs wrote moments-000 and no manifest before it failed.
+        out = tmp_path / "out"
+        assert main(["run", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(out.glob("*")) == []
+
+    def test_compare_checks_the_initial_p_function(self, tmp_path, monkeypatch, capsys):
+        # The initial moments are integrated from P0, so --compare fails on a
+        # P0 whose gradient coefficient a_10 is off by 1e-3.
+        real = states.initial_p_function
+
+        def skewed(spec):
+            p0 = real(spec)
+            coeffs = np.array(p0.coeffs)
+            coeffs[1, 0] += 1e-3
+            return GaussianP(p0.center, p0.width_x, p0.width_y, coeffs)
+
+        def compare(out):
+            return main(
+                ["run", "--state", "photon-added-coherent", "--beta-re", "0.5", "--beta-im", "0.3",
+                 "--times", "0,1", "--outputs", "moments", "--compare", "--out", str(out)]
+            )
+
+        assert compare(tmp_path / "exact") == 0
+        monkeypatch.setattr(states, "initial_p_function", skewed)
+        assert compare(tmp_path / "skewed") == 1
+        assert "oracle comparison FAILED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "state",
         [
             ["--state", "thermal", "--mbar", "1"],
@@ -562,22 +602,30 @@ for name, entry in FAMILY_TABLE.items():
             argv += ["--" + key.replace("_", "-"), str(value)]
         codes.append(cli.main(argv))
 loaded = scipy_modules()
+numpy_ma = "numpy.ma" in sys.modules
 import scipy.linalg  # the detector must see a scipy import
 
-print(json.dumps({"codes": codes, "loaded": loaded, "control": scipy_modules()}))
+print(json.dumps({"codes": codes, "loaded": loaded, "numpy_ma": numpy_ma, "control": scipy_modules()}))
 """
 
 
+@pytest.fixture(scope="module")
+def routes_run(tmp_path_factory):
+    """Output directory and result of _ROUTES_SCRIPT, run once in a fresh interpreter."""
+    out = tmp_path_factory.mktemp("routes")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ROUTES_SCRIPT, str(out)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return out, json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestImportSplit:
-    def test_closed_form_route_never_loads_scipy(self, tmp_path):
+    def test_closed_form_route_never_loads_scipy(self, routes_run):
         # The bath's action on P and on rho is analytic, so no run route, the
         # Fock-basis oracle included, may load scipy.
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", _ROUTES_SCRIPT, str(tmp_path)],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        result = json.loads(proc.stdout.splitlines()[-1])
+        tmp_path, result = routes_run
         assert result["codes"] == [0] * (2 * len(FAMILY_TABLE))
         assert result["loaded"] == []
         assert "scipy.linalg" in result["control"]
@@ -586,6 +634,10 @@ class TestImportSplit:
             assert len(list(tmp_path.glob(f"{name}-0/w-grid-*.csv"))) == 2
             assert len(list(tmp_path.glob(f"{name}-1/w-grid-*.csv"))) == 2
             assert len(list(tmp_path.glob(f"{name}-1/oracle-compare-*.csv"))) == 2
+
+    def test_compare_route_never_loads_numpy_ma(self, routes_run):
+        # np.unique imports numpy.ma (numpy 2.4), a module that no run route needs.
+        assert routes_run[1]["numpy_ma"] is False
 
     def test_package_source_never_imports_scipy(self):
         # Any import, at any depth: a lazy one inside a function would escape

@@ -16,7 +16,7 @@ from phasebath import (
     initial_p_function,
     rescale_zero_temperature,
 )
-from phasebath.descriptors import GaussianP
+from phasebath.descriptors import GaussianP, normal_moments
 
 
 class TestZeroTemperatureLaw:
@@ -69,6 +69,24 @@ class TestEvolvedMoments:
         assert direct.mean_n == pytest.approx(stepped.mean_n, rel=1e-12)
         assert direct.second_factorial == pytest.approx(stepped.second_factorial, rel=1e-12)
         assert direct.var_x == pytest.approx(stepped.var_x, rel=1e-12)
+
+    @pytest.mark.parametrize("nbar", [0.0, 0.4, 2.0])
+    def test_moments_of_evolved_p_match_moment_map(self, nbar):
+        # normal_moments reads P_t itself (centre eta c, widths eta^2 w + nbar_t,
+        # coefficients scaled by eta^(i+j)); evolved_moments maps the moments.
+        bath = BathParams(gamma=0.8, nbar=nbar)
+        specs = (
+            StateSpec("photon-added-thermal", mbar=0.7),
+            StateSpec("photon-added-coherent", beta=1.1 - 0.6j),
+            StateSpec("squeezed-coherent", beta=0.4 + 0.9j, squeeze=0.3),
+        )
+        for spec in specs:
+            for t in (0.0, 0.05, 0.7, 3.0):
+                mean_a, mean_n, second, _ = normal_moments(evolve_p_closed_form(spec, bath, t))
+                mt = evolved_moments(initial_moments(spec), bath, t)
+                assert abs(mean_a - mt.mean_a) < 1e-12
+                assert mean_n == pytest.approx(mt.mean_n, rel=1e-12, abs=1e-12)
+                assert second == pytest.approx(mt.second_factorial, rel=1e-12, abs=1e-12)
 
     def test_uncertainty_product_never_dips(self):
         m0 = initial_moments(StateSpec("squeezed-coherent", beta=0.5, squeeze=4.0))

@@ -1,5 +1,6 @@
-"""State families: parsing, initial distributions, and closed-form moments."""
+"""State families: parsing, initial distributions, and initial moments."""
 
+import cmath
 import math
 
 import numpy as np
@@ -17,7 +18,8 @@ from phasebath import (
     integral_p,
     parse_state_spec,
 )
-from phasebath.descriptors import GaussianP, singular_part
+from phasebath.descriptors import GaussianP, normal_moments, singular_part
+from phasebath.fock import annihilation
 
 SAMPLE_SPECS = [
     StateSpec("coherent", beta=1.2 + 0.7j),
@@ -64,22 +66,46 @@ class TestSpecValidation:
         assert spec.mbar == 0.7
 
 
+def seeded_specs(family: str, count: int = 12) -> list:
+    """Seeded specs of one family: |beta| up to 2, mbar in [0.05, 2], squeeze in [1/4, 4]."""
+    rng = np.random.default_rng(FAMILIES.index(family))
+    return [
+        StateSpec(
+            family,
+            beta=cmath.rect(rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0 * math.pi)),
+            mbar=rng.uniform(0.05, 2.0),
+            squeeze=4.0 ** rng.uniform(-1.0, 1.0),
+        )
+        for _ in range(count)
+    ]
+
+
 class TestInitialMoments:
     @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.family)
     def test_matches_truncated_density_matrix(self, spec):
-        # Slow geometric tails (thermal families) need more basis headroom
-        # than the generic heuristic provides.
-        cutoff = default_cutoff(spec) + 60
-        rho = fock_density(spec, cutoff)
         from phasebath import moments_from_rho
 
-        m_closed = initial_moments(spec)
-        m_num = moments_from_rho(rho)
-        assert abs(m_closed.mean_a - m_num.mean_a) < 1e-7
-        assert m_closed.mean_n == pytest.approx(m_num.mean_n, abs=1e-7)
-        assert m_closed.second_factorial == pytest.approx(m_num.second_factorial, abs=1e-6)
-        assert m_closed.var_x == pytest.approx(m_num.var_x, abs=1e-7)
-        assert m_closed.var_y == pytest.approx(m_num.var_y, abs=1e-7)
+        for case in [spec, *seeded_specs(spec.family)]:
+            # Slow geometric tails (thermal families) need more basis headroom
+            # than the generic heuristic provides.
+            cutoff = default_cutoff(case) + 60
+            rho = fock_density(case, cutoff)
+            m_closed = initial_moments(case)
+            m_num = moments_from_rho(rho)
+            assert abs(m_closed.mean_a - m_num.mean_a) < 1e-7, case
+            assert m_closed.mean_n == pytest.approx(m_num.mean_n, abs=1e-7), case
+            assert m_closed.second_factorial == pytest.approx(m_num.second_factorial, abs=1e-6), case
+            assert m_closed.var_x == pytest.approx(m_num.var_x, abs=1e-7), case
+            assert m_closed.var_y == pytest.approx(m_num.var_y, abs=1e-7), case
+
+    @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.family)
+    def test_a_squared_matches_truncated_density_matrix(self, spec):
+        # MomentSet keeps only Re<a^2>, through the variances; this checks all of it.
+        for case in [spec, *seeded_specs(spec.family)]:
+            cutoff = default_cutoff(case) + 60
+            a = annihilation(cutoff)
+            expected = np.trace(fock_density(case, cutoff).elements @ a @ a)
+            assert abs(normal_moments(initial_p_function(case))[3] - expected) < 1e-7, case
 
     def test_added_photon_thermal_mean(self):
         m = initial_moments(StateSpec("photon-added-thermal", mbar=1.0))
