@@ -23,18 +23,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import BathParams
+from .core import BathParams, scale_bath
 from .descriptors import evaluate_p, singular_part
-from .evolution import evolve_p_closed_form, evolved_moments
+from .evolution import evolved_moments
 from .lindblad import integrate, moments_from_rho
 from .quasiprob import PhaseSpaceGrid
 from .states import (
     FAMILIES,
     FAMILY_TABLE,
+    MomentSet,
     StateSpec,
     default_cutoff,
     fock_density,
-    initial_moments,
+    initial_p_function,
     parse_state_spec,
 )
 
@@ -217,7 +218,8 @@ def run(config: RunConfig) -> int:
     started = _time.perf_counter()
     ext = config.format
     axis = config.grid.axis()
-    m0 = initial_moments(config.state)
+    p0 = initial_p_function(config.state)
+    m0 = MomentSet.from_p(p0)
 
     needs_p = any(a in config.outputs for a in _GRID_KERNELS)
     needs_rho = "oracle-compare" in config.outputs
@@ -227,7 +229,7 @@ def run(config: RunConfig) -> int:
         cutoff = (
             config.oracle_cutoff
             if config.oracle_cutoff is not None
-            else default_cutoff(config.state, config.bath.nbar)
+            else default_cutoff(p0, config.bath.nbar)
         )
         rho0 = fock_density(config.state, cutoff)
         rhos = integrate(rho0, config.bath, config.times)
@@ -237,7 +239,8 @@ def run(config: RunConfig) -> int:
     pending: list[tuple] = []  # (file name, writer, contents)
     deviations: list[float] = []
     for idx, t in enumerate(config.times):
-        form = evolve_p_closed_form(config.state, config.bath, t) if needs_p else None
+        scaled = scale_bath(config.bath, t)
+        form = p0.convolved(scaled.decay_factor, scaled.nbar_t) if needs_p else None
         mt = evolved_moments(m0, config.bath, t)
         for artifact in config.outputs:
             name = f"{artifact}-{idx:03d}.{ext}"

@@ -1,23 +1,20 @@
 """Catalog of initial field states in three synchronized representations.
 
-Each catalog family provides a symbolic phase-space descriptor and a
-truncated number-basis density matrix; its initial moments are integrated
-from the descriptor (``descriptors.normal_moments``).  Every family has the
-one descriptor kind: a Gaussian with signed per-axis widths, bare for
-coherent, thermal, displaced-thermal and squeezed-coherent states, and with
-a gradient and a Laplacian of it for the photon-added states.  The families:
-
-* ``coherent(beta)``
-* ``thermal(mbar)``
-* ``displaced-thermal(beta, mbar)``
-* ``photon-added-thermal(mbar)``
-* ``photon-added-coherent(beta)``
-* ``squeezed-coherent(beta, squeeze)``
+Each family is a row of data: the Gaussian state D(beta) S(s) rho_th(mbar),
+with one photon added (a^dag rho a, normalized) when the row says so.  A
+family reads some of beta, mbar and s, and ``StateSpec`` sets the others to
+their neutral values 0, 0 and 1.  Every row gives its symbolic phase-space
+descriptor and its truncated number-basis density matrix along one path
+each, and the initial moments are integrated from the descriptor.
 
 The squeeze parameter is the quadrature variance ratio: var X = 1/(4 s),
-var Y = s/4, so s > 1 squeezes the real quadrature.  In terms of the squeeze
-operator exp[(r/2)(a^2 - a^dag^2)] this is s = e^{2r}, and the P widths
-are (1 - s)/(2 s) along the real axis and (s - 1)/2 along the imaginary one.
+var Y = s/4, so s > 1 squeezes the real quadrature; with the squeeze operator
+exp[(r/2)(a^2 - a^dag^2)], s = e^{2r}.
+
+Photon addition needs no closed form per family: since <alpha| a^dag =
+alpha* <alpha|, the Q of a^dag rho a is |alpha|^2 Q_rho / <a a^dag> (Agarwal &
+Tara, PRA 43, 492 (1991); Jones, Haight & Lee, Quantum Semiclass. Opt. 9,
+411 (1997)).
 """
 
 from __future__ import annotations
@@ -52,28 +49,30 @@ __all__ = [
 ]
 
 
+#: each parameter's neutral value and the range check that every family applies
+_PARAMETERS = {"beta": (0j, "beta finite"), "mbar": (0.0, "mbar >= 0"), "squeeze": (1.0, "squeeze > 0")}
+
+
 @dataclass(frozen=True)
 class FamilyEntry:
-    """How one family is listed: the parameters it reads, their constraints, an example."""
+    """One family: the parameters it reads, an example, and whether a photon is added."""
 
     parameters: tuple[str, ...]
-    constraints: str
     example: dict
+    added: bool = False
+
+    @property
+    def constraints(self) -> str:
+        return ", ".join(_PARAMETERS[name][1] for name in self.parameters)
 
 
 FAMILY_TABLE = {
-    "coherent": FamilyEntry(("beta",), "beta finite", {"beta_re": 1.0, "beta_im": 0.5}),
-    "thermal": FamilyEntry(("mbar",), "mbar >= 0", {"mbar": 1.0}),
-    "displaced-thermal": FamilyEntry(
-        ("beta", "mbar"), "beta finite, mbar >= 0", {"beta_re": 1.0, "beta_im": 0.0, "mbar": 0.5}
-    ),
-    "photon-added-thermal": FamilyEntry(("mbar",), "mbar > 0", {"mbar": 1.0}),
-    "photon-added-coherent": FamilyEntry(("beta",), "beta finite", {"beta_re": 1.0, "beta_im": 0.5}),
-    "squeezed-coherent": FamilyEntry(
-        ("beta", "squeeze"),
-        "beta finite, squeeze > 0",
-        {"beta_re": 1.0, "beta_im": 0.0, "squeeze": 2.0},
-    ),
+    "coherent": FamilyEntry(("beta",), {"beta_re": 1.0, "beta_im": 0.5}),
+    "thermal": FamilyEntry(("mbar",), {"mbar": 1.0}),
+    "displaced-thermal": FamilyEntry(("beta", "mbar"), {"beta_re": 1.0, "beta_im": 0.0, "mbar": 0.5}),
+    "photon-added-thermal": FamilyEntry(("mbar",), {"mbar": 1.0}, added=True),
+    "photon-added-coherent": FamilyEntry(("beta",), {"beta_re": 1.0, "beta_im": 0.5}, added=True),
+    "squeezed-coherent": FamilyEntry(("beta", "squeeze"), {"beta_re": 1.0, "beta_im": 0.0, "squeeze": 2.0}),
 }
 
 FAMILIES = tuple(FAMILY_TABLE)
@@ -81,7 +80,7 @@ FAMILIES = tuple(FAMILY_TABLE)
 
 @dataclass(frozen=True)
 class StateSpec:
-    """A catalog family plus its finite numeric parameters (unused ones ignored)."""
+    """A catalog family plus its finite parameters; those it does not read are neutral."""
 
     family: str
     beta: complex = 0j
@@ -95,13 +94,12 @@ class StateSpec:
         for name in ("mbar", "squeeze"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.family == "photon-added-thermal":
-            if not self.mbar > 0:
-                raise ValueError("photon-added-thermal requires mbar > 0")
-        elif self.family in ("thermal", "displaced-thermal"):
-            if self.mbar < 0:
-                raise ValueError("mbar must be nonnegative")
-        if self.family == "squeezed-coherent" and not self.squeeze > 0:
+        for name, (neutral, _) in _PARAMETERS.items():
+            if name not in FAMILY_TABLE[self.family].parameters:
+                object.__setattr__(self, name, neutral)
+        if self.mbar < 0:
+            raise ValueError("mbar must be nonnegative")
+        if not self.squeeze > 0:
             raise ValueError("squeeze must be positive")
 
 
@@ -148,39 +146,41 @@ class MomentSet:
         if self.var_x * self.var_y < 0.0625 * (1.0 - 1e-9):
             raise ValueError("uncertainty product below the quantum floor")
 
+    @classmethod
+    def from_p(cls, desc: GaussianP) -> "MomentSet":
+        """Moments of the state that ``desc`` describes, with var X = (1 + 2<n> +
+        2 Re<a^2>)/4 - (Re<a>)^2 and var Y = (1 + 2<n> - 2 Re<a^2>)/4 - (Im<a>)^2."""
+        mean_a, mean_n, second_factorial, a_squared = normal_moments(desc)
+        var_x = (1.0 + 2.0 * mean_n + 2.0 * a_squared.real) / 4.0 - mean_a.real**2
+        var_y = (1.0 + 2.0 * mean_n - 2.0 * a_squared.real) / 4.0 - mean_a.imag**2
+        return cls(mean_a, mean_n, second_factorial, var_x, var_y)
+
     def mandel_q(self) -> float:
         if self.mean_n <= 0:
             raise ValueError("Mandel Q is undefined at zero mean photon number")
         return (self.second_factorial - self.mean_n**2) / self.mean_n
 
 
-def initial_p_function(spec: StateSpec):
-    """Exact symbolic phase-space descriptor of the initial state."""
-    f = spec.family
-    if f == "coherent":
-        return GaussianP(spec.beta, 0.0, 0.0)
-    if f == "thermal":
-        return GaussianP(0j, spec.mbar, spec.mbar)
-    if f == "displaced-thermal":
-        return GaussianP(spec.beta, spec.mbar, spec.mbar)
-    if f == "photon-added-thermal":
-        # P = (1 + (m + 1)/4 Laplacian) G_m, with G_m the thermal Gaussian of width m
-        m = spec.mbar
-        lap = (m + 1.0) / 4.0
-        return GaussianP(0j, m, m, [[1.0, 0.0, lap], [0.0, 0.0, 0.0], [lap, 0.0, 0.0]])
-    if f == "photon-added-coherent":
-        # P = f Laplacian(delta_b) / (4 n) with f = e^{|alpha|^2 - |b|^2}, n = |b|^2 + 1.
-        # Moving f through the derivatives, f delta'' = f(b) delta'' - 2 f'(b) delta'
-        # + f''(b) delta, gives delta - (Re b d_u + Im b d_v) delta / n + Laplacian(delta) / (4 n).
-        b = spec.beta
-        n = abs(b) ** 2 + 1.0
-        lap = 0.25 / n
-        coeffs = [[1.0, -b.imag / n, lap], [-b.real / n, 0.0, 0.0], [lap, 0.0, 0.0]]
-        return GaussianP(b, 0.0, 0.0, coeffs)
-    if f == "squeezed-coherent":
-        s = spec.squeeze
-        return GaussianP(spec.beta, (1.0 - s) / (2.0 * s), (s - 1.0) / 2.0)
-    raise ValueError(f"unknown family {f!r}")
+def initial_p_function(spec: StateSpec) -> GaussianP:
+    """Exact symbolic phase-space descriptor of the initial state.
+
+    The Gaussian has P widths w = (mbar/s + (1 - s)/(2 s), mbar s + (s - 1)/2).
+    With a photon added, Q = |alpha|^2 G_W / N at Q widths W = w + 1 and
+    N = <a a^dag> = |beta|^2 + (W_x + W_y)/2.  Per axis u G_W = -(W/2) d_u G_W
+    and u^2 G_W = (W^2/4) d_u^2 G_W + (W/2) G_W (u = Re alpha - Re beta), so Q
+    is G_W, a gradient -(W_x Re beta d_u + W_y Im beta d_v) G_W / N and a
+    Laplacian (W_x^2 d_u^2 + W_y^2 d_v^2) G_W / (4 N); P is that series at w.
+    """
+    b, m, s = spec.beta, spec.mbar, spec.squeeze
+    wx, wy = m / s + (1.0 - s) / (2.0 * s), m * s + (s - 1.0) / 2.0
+    if not FAMILY_TABLE[spec.family].added:
+        return GaussianP(b, wx, wy)
+    qx, qy = wx + 1.0, wy + 1.0
+    n = abs(b) ** 2 + (qx + qy) / 2.0
+    # An undisplaced state has no gradient term (+0.0, where the product gives -0.0).
+    gx, gy = (-qx * b.real / n, -qy * b.imag / n) if b else (0.0, 0.0)
+    coeffs = [[1.0, gy, qy / 4.0 * (qy / n)], [gx, 0.0, 0.0], [qx / 4.0 * (qx / n), 0.0, 0.0]]
+    return GaussianP(b, wx, wy, coeffs)
 
 
 #: n(n-1) weight a thermal tail may leave beyond the basis (the oracle
@@ -188,19 +188,18 @@ def initial_p_function(spec: StateSpec):
 _TAIL_SECOND_FACTORIAL = 1e-9
 
 
-def default_cutoff(spec: StateSpec, nbar: float = 0.0) -> int:
-    """Truncation heuristic: a generous multiple of the state's mean photon
-    number plus the bath occupation ``nbar`` it relaxes toward, raised until a
-    thermal tail leaves little second factorial moment beyond the basis.
+def default_cutoff(p0: GaussianP, nbar: float = 0.0) -> int:
+    """Truncation heuristic for the state that ``p0`` describes: a generous
+    multiple of its mean photon number plus the bath occupation ``nbar`` it
+    relaxes toward, raised until a thermal tail leaves little second
+    factorial moment beyond the basis.
 
-    The tail's occupation m is the larger of the state's P width (zero for
-    the delta derivative of a photon-added coherent state) and ``nbar``: the
-    bath takes each P width w to w eta^2 + nbar (1 - eta^2), and a Gaussian P
-    of width m has number-state weights falling as q^n, q = m/(1 + m).
-    Beyond N levels that tail holds
-    sum_{n >= N} n(n-1)(1-q) q^n = q^N (N(N-1) + 2Nm + 2m^2).
+    The tail's occupation m is the larger of the P width (zero for the delta
+    derivative of a photon-added coherent state) and ``nbar``: the bath takes
+    each P width w to w eta^2 + nbar (1 - eta^2), and a Gaussian P of width m
+    has number-state weights falling as q^n, q = m/(1 + m).  Beyond N levels
+    that tail holds sum_{n >= N} n(n-1)(1-q) q^n = q^N (N(N-1) + 2Nm + 2m^2).
     """
-    p0 = initial_p_function(spec)
     mean_n = normal_moments(p0)[1]
     cutoff = max(30, math.ceil(8.0 * (mean_n + nbar + 1.0)))
     m = max(p0.width, nbar)
@@ -211,34 +210,31 @@ def default_cutoff(spec: StateSpec, nbar: float = 0.0) -> int:
 
 
 def fock_density(spec: StateSpec, cutoff: int) -> FockDensityMatrix:
-    """Truncated number-basis density matrix of the initial state."""
+    """Truncated number-basis density matrix of the initial state.
+
+    The Gaussian is a displaced squeezed vacuum when s != 1, a coherent state
+    when mbar = 0, and otherwise a thermal state, displaced when beta != 0.
+    An added photon gives a^dag rho a / (|beta|^2 + mbar + 1): the exact
+    <a a^dag> at s = 1, as in every such row, and not the truncated trace,
+    so that truncation shows as a trace deficit.
+    """
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    f = spec.family
-    if f == "coherent":
-        vec = coherent_vector(spec.beta, cutoff)
+    b, m, s = spec.beta, spec.mbar, spec.squeeze
+    if s != 1.0:
+        vec = displacement_matrix(b, cutoff) @ squeeze_matrix(0.5 * math.log(s), cutoff)[:, 0]
         rho = np.outer(vec, vec.conj())
-    elif f == "thermal":
-        rho = np.diag(thermal_populations(spec.mbar, cutoff)).astype(complex)
-    elif f == "displaced-thermal":
-        d = displacement_matrix(spec.beta, cutoff)
-        rho = d @ np.diag(thermal_populations(spec.mbar, cutoff)).astype(complex) @ d.conj().T
-    elif f == "photon-added-thermal":
-        a = annihilation(cutoff)
-        base = np.diag(thermal_populations(spec.mbar, cutoff)).astype(complex)
-        raw = a.conj().T @ base @ a
-        rho = raw / raw.trace() * (1.0 - _added_photon_deficit(spec, cutoff))
-    elif f == "photon-added-coherent":
-        vec = coherent_vector(spec.beta, cutoff)
-        raised = annihilation(cutoff).conj().T @ vec
-        norm = abs(spec.beta) ** 2 + 1.0
-        rho = np.outer(raised, raised.conj()) / norm
-    elif f == "squeezed-coherent":
-        exponent = 0.5 * math.log(spec.squeeze)
-        vec = displacement_matrix(spec.beta, cutoff) @ squeeze_matrix(exponent, cutoff)[:, 0]
+    elif m == 0.0:
+        vec = coherent_vector(b, cutoff)
         rho = np.outer(vec, vec.conj())
     else:
-        raise ValueError(f"unknown family {f!r}")
+        rho = np.diag(thermal_populations(m, cutoff)).astype(complex)
+        if b:
+            d = displacement_matrix(b, cutoff)
+            rho = d @ rho @ d.conj().T
+    if FAMILY_TABLE[spec.family].added:
+        a = annihilation(cutoff)
+        rho = a.T @ rho @ a / (abs(b) ** 2 + m + 1.0)
     state = FockDensityMatrix.from_array(rho)
     if state.trace_deficit > 1e-3:
         raise ValueError(
@@ -247,25 +243,6 @@ def fock_density(spec: StateSpec, cutoff: int) -> FockDensityMatrix:
     return state
 
 
-def _added_photon_deficit(spec: StateSpec, cutoff: int) -> float:
-    """Truncation deficit of the photon-added thermal state at this cutoff.
-
-    Renormalizing the truncated a^dag rho a to unit trace would silently hide
-    the truncation error, so the known tail weight is reinstated as a deficit.
-    """
-    m = spec.mbar
-    ratio = m / (1.0 + m)
-    k = np.arange(cutoff)
-    weights = k * (1.0 / (1.0 + m)) * ratio ** (k - 1.0)
-    weights[0] = 0.0
-    return float(1.0 - np.sum(weights) / (1.0 + m))
-
-
 def initial_moments(spec: StateSpec) -> MomentSet:
-    """Moments of the initial state, integrated from its P function, with
-    var X = (1 + 2<n> + 2 Re<a^2>)/4 - (Re<a>)^2 and
-    var Y = (1 + 2<n> - 2 Re<a^2>)/4 - (Im<a>)^2."""
-    mean_a, mean_n, second_factorial, a_squared = normal_moments(initial_p_function(spec))
-    var_x = (1.0 + 2.0 * mean_n + 2.0 * a_squared.real) / 4.0 - mean_a.real**2
-    var_y = (1.0 + 2.0 * mean_n - 2.0 * a_squared.real) / 4.0 - mean_a.imag**2
-    return MomentSet(mean_a, mean_n, second_factorial, var_x, var_y)
+    """Moments of the initial state, integrated from its P function."""
+    return MomentSet.from_p(initial_p_function(spec))

@@ -18,6 +18,7 @@ from phasebath import (
     evolve_p_closed_form,
     fock_density,
     husimi_q_grid,
+    initial_p_function,
     integrate,
 )
 from phasebath import cli, states
@@ -548,7 +549,7 @@ class TestRunContract:
             )
 
         assert compare(tmp_path / "exact") == 0
-        monkeypatch.setattr(states, "initial_p_function", skewed)
+        monkeypatch.setattr(cli, "initial_p_function", skewed)
         assert compare(tmp_path / "skewed") == 1
         assert "oracle comparison FAILED" in capsys.readouterr().err
 
@@ -680,6 +681,48 @@ class TestListStates:
     def test_catalog_structure(self):
         for entry in state_catalog():
             assert set(entry) == {"family", "parameters", "constraints", "example"}
+
+    def test_constraints_follow_parameters(self):
+        constraints = {entry["family"]: entry["constraints"] for entry in state_catalog()}
+        assert constraints["photon-added-thermal"] == "mbar >= 0"
+        assert constraints["displaced-thermal"] == "beta finite, mbar >= 0"
+        assert constraints["squeezed-coherent"] == "beta finite, squeeze > 0"
+
+
+def _bits(desc) -> tuple:
+    """A descriptor's doubles as hex text and bytes, so that -0.0 differs from 0.0."""
+    head = (desc.center.real, desc.center.imag, desc.width_x, desc.width_y)
+    return tuple(v.hex() for v in head) + (desc.coeffs.shape, desc.coeffs.tobytes())
+
+
+class TestUnreadParameters:
+    @pytest.mark.parametrize("name", list(FAMILY_TABLE))
+    def test_supplying_every_parameter_changes_nothing(self, tmp_path, name):
+        # Each parameter the family does not read is set to its neutral value,
+        # so a spec that sets beta, mbar and s gives the example's P0, rho0 and
+        # files; the manifest records the neutral values.
+        example = {"family": name, **FAMILY_TABLE[name].example}
+        full = {"beta_re": 0.7, "beta_im": -0.4, "mbar": 0.8, "squeeze": 2.5, **example}
+        spec, full_spec = parse_state_spec(example), parse_state_spec(full)
+        assert _bits(initial_p_function(full_spec)) == _bits(initial_p_function(spec))
+        assert np.array_equal(fock_density(full_spec, 40).elements, fock_density(spec, 40).elements)
+        for label, fields in (("example", example), ("full", full)):
+            argv = ["run", "--state", name, "--gamma", "1", "--nbar", "1", "--times", "0.5,1",
+                    "--outputs", "p-grid,q-grid,w-grid,moments,mandel-q,variances", "--compare",
+                    "--grid=-3:3:9", "--out", str(tmp_path / label)]
+            for key, value in fields.items():
+                if key != "family":
+                    argv += ["--" + key.replace("_", "-"), str(value)]
+            assert main(argv) == 0
+        names = sorted(p.name for p in (tmp_path / "example").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "full").iterdir())
+        assert len(names) == 15
+        for file in names:
+            a, b = ((tmp_path / label / file).read_bytes() for label in ("example", "full"))
+            if file == "manifest.json":
+                a, b = (json.loads(text) for text in (a, b))
+                del a["wall_time_seconds"], b["wall_time_seconds"]
+            assert a == b, file
 
 
 class TestRunConfigValidation:

@@ -20,7 +20,7 @@ from phasebath import (
 )
 from phasebath.fock import thermal_populations
 from phasebath.lindblad import _poisson_tail
-from phasebath.states import FAMILY_TABLE, default_cutoff, parse_state_spec
+from phasebath.states import FAMILY_TABLE, default_cutoff, initial_p_function, parse_state_spec
 
 
 def _diagonal_generator(k: int, cutoff: int, bath: BathParams) -> np.ndarray:
@@ -216,7 +216,11 @@ class TestIntegration:
         "spec, nbar, cutoff",
         [
             # default_cutoff at mbar = 1, nbar = 20 is 695: six panels of levels
-            (StateSpec("thermal", mbar=1.0), 20.0, default_cutoff(StateSpec("thermal", mbar=1.0), 20.0)),
+            (
+                StateSpec("thermal", mbar=1.0),
+                20.0,
+                default_cutoff(initial_p_function(StateSpec("thermal", mbar=1.0)), 20.0),
+            ),
             (StateSpec("coherent", beta=3.0 - 2.0j), 2.0, 200),
         ],
         ids=["thermal-default", "coherent-200"],

@@ -54,9 +54,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             StateSpec("thermal", mbar=-0.5)
         with pytest.raises(ValueError):
-            StateSpec("photon-added-thermal", mbar=0.0)
+            StateSpec("photon-added-thermal", mbar=-0.5)
         with pytest.raises(ValueError):
             StateSpec("squeezed-coherent", squeeze=0.0)
+
+    def test_unread_parameters_are_neutral(self):
+        # A parameter the family does not read is set to beta = 0, mbar = 0 or
+        # s = 1 after the finiteness checks and before the range checks.
+        spec = StateSpec("coherent", beta=1.0, mbar=-1.0, squeeze=0.0)
+        assert (spec.beta, spec.mbar, spec.squeeze) == (1.0, 0.0, 1.0)
+        spec = StateSpec("thermal", beta=2.0j, mbar=0.5, squeeze=3.0)
+        assert (spec.beta, spec.mbar, spec.squeeze) == (0j, 0.5, 1.0)
+        with pytest.raises(ValueError):
+            StateSpec("coherent", mbar=math.nan)
 
     def test_parse_round_trip(self):
         fields = {"family": "displaced-thermal", "beta_re": 1.0, "beta_im": -0.5, "mbar": 0.7}
@@ -88,7 +98,7 @@ class TestInitialMoments:
         for case in [spec, *seeded_specs(spec.family)]:
             # Slow geometric tails (thermal families) need more basis headroom
             # than the generic heuristic provides.
-            cutoff = default_cutoff(case) + 60
+            cutoff = default_cutoff(initial_p_function(case)) + 60
             rho = fock_density(case, cutoff)
             m_closed = initial_moments(case)
             m_num = moments_from_rho(rho)
@@ -102,7 +112,7 @@ class TestInitialMoments:
     def test_a_squared_matches_truncated_density_matrix(self, spec):
         # MomentSet keeps only Re<a^2>, through the variances; this checks all of it.
         for case in [spec, *seeded_specs(spec.family)]:
-            cutoff = default_cutoff(case) + 60
+            cutoff = default_cutoff(initial_p_function(case)) + 60
             a = annihilation(cutoff)
             expected = np.trace(fock_density(case, cutoff).elements @ a @ a)
             assert abs(normal_moments(initial_p_function(case))[3] - expected) < 1e-7, case
@@ -164,6 +174,44 @@ class TestInitialDistributions:
         assert mass.real == pytest.approx(1.0, abs=1e-8)
         assert abs(mean - m.mean_a) < 1e-8
 
+    @pytest.mark.parametrize(
+        "added, base",
+        [
+            (StateSpec("photon-added-coherent", beta=1.1 - 0.7j), StateSpec("coherent", beta=1.1 - 0.7j)),
+            (StateSpec("photon-added-coherent", beta=0j), StateSpec("coherent", beta=0j)),
+            (StateSpec("photon-added-thermal", mbar=1.3), StateSpec("thermal", mbar=1.3)),
+            (StateSpec("photon-added-thermal", mbar=0.0), StateSpec("thermal", mbar=0.0)),
+        ],
+        ids=["coherent", "coherent-0", "thermal", "thermal-0"],
+    )
+    def test_added_photon_multiplies_q_by_intensity(self, added, base):
+        # <alpha| a^dag = alpha* <alpha|, so Q of a^dag rho a / <a a^dag> is
+        # |alpha|^2 Q_rho / <a a^dag>, with <a a^dag> = |beta|^2 + mbar + 1.
+        axis = np.linspace(-4.0, 4.0, 41)
+        x, y = axis[:, None], axis[None, :]
+        q = evaluate_p(initial_p_function(added).convolved(1.0, 1.0), x, y)
+        q_base = evaluate_p(initial_p_function(base).convolved(1.0, 1.0), x, y)
+        expected = (x * x + y * y) * q_base / (abs(base.beta) ** 2 + base.mbar + 1.0)
+        assert np.max(np.abs(q - expected)) <= 4e-15 * np.max(expected)
+
+    def test_added_photon_thermal_at_zero_mbar_is_one_photon(self, tmp_path):
+        # a^dag |0><0| a = |1><1|: the photon-added-coherent state at beta = 0.
+        from phasebath.cli import main
+
+        spec = StateSpec("photon-added-thermal", mbar=0.0)
+        p0 = initial_p_function(spec)
+        fock1 = initial_p_function(StateSpec("photon-added-coherent", beta=0j))
+        assert (p0.center, p0.width_x, p0.width_y) == (fock1.center, fock1.width_x, fock1.width_y)
+        assert p0.coeffs.tobytes() == fock1.coeffs.tobytes()
+        expected = np.zeros((12, 12))
+        expected[1, 1] = 1.0
+        assert np.max(np.abs(fock_density(spec, 12).elements - expected)) <= 1e-15
+        for nbar in ("0", "0.4"):
+            argv = ["run", "--state", "photon-added-thermal", "--mbar", "0", "--gamma", "1",
+                    "--nbar", nbar, "--times", "0,0.5", "--outputs", "moments,w-grid",
+                    "--compare", "--grid=-3:3:9", "--out", str(tmp_path / nbar)]
+            assert main(argv) == 0
+
     def test_thermal_gaussian_value(self):
         mbar = 2.0
         desc = initial_p_function(StateSpec("thermal", mbar=mbar))
@@ -188,7 +236,7 @@ class TestFockDensity:
 
     def test_trace_near_one(self):
         for spec in SAMPLE_SPECS:
-            rho = fock_density(spec, default_cutoff(spec))
+            rho = fock_density(spec, default_cutoff(initial_p_function(spec)))
             assert abs(np.trace(rho.elements).real - 1.0) < 1e-6
 
     @pytest.mark.parametrize("nbar", [0.0, 1.2])
@@ -199,7 +247,7 @@ class TestFockDensity:
         from phasebath import moments_from_rho
 
         m = initial_moments(spec)
-        cutoff = default_cutoff(spec, nbar)
+        cutoff = default_cutoff(initial_p_function(spec), nbar)
         assert cutoff >= max(30, math.ceil(8.0 * (m.mean_n + nbar + 1.0)))
         rho = fock_density(spec, cutoff)
         assert moments_from_rho(rho).second_factorial == pytest.approx(m.second_factorial, abs=1e-7)
