@@ -46,6 +46,9 @@ ARTIFACTS = ("p-grid", "q-grid", "w-grid", "moments", "mandel-q", "variances", "
 #: s = 1, 0, -1 (Cahill & Glauber, Phys. Rev. 177, 1882 (1969))
 _GRID_KERNELS = {"p-grid": ("P", 0.0), "w-grid": ("W", 0.5), "q-grid": ("Q", 1.0)}
 
+#: largest oracle deviation that --compare accepts when no TOL is given
+COMPARE_TOLERANCE = 1e-5
+
 @dataclasses.dataclass(frozen=True)
 class GridSpec:
     """Square phase-space window: both axes run lo..hi with `points` samples."""
@@ -81,7 +84,7 @@ class RunConfig:
     output_dir: Path
     format: str = "csv"
     oracle_cutoff: int | None = None
-    compare_tolerance: float = 1e-5
+    compare_tolerance: float = COMPARE_TOLERANCE
 
     def __post_init__(self) -> None:
         if not self.times:
@@ -274,6 +277,7 @@ def run(config: RunConfig) -> int:
                     "dev_second_factorial": abs(mt.second_factorial - mo.second_factorial),
                     "dev_var_x": abs(mt.var_x - mo.var_x),
                     "dev_var_y": abs(mt.var_y - mo.var_y),
+                    "dev_a_squared": abs(mt.a_squared - mo.a_squared),
                 }
                 deviations.extend(v for k, v in record.items() if k != "time")
             pending.append((name, _write_record, record))
@@ -359,10 +363,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--compare",
         nargs="?",
-        const=1e-5,
+        const=COMPARE_TOLERANCE,
         type=float,
         metavar="TOL",
-        help="add the oracle-compare artifact; exit nonzero if any deviation exceeds TOL (default 1e-5)",
+        help="add the oracle-compare artifact; exit nonzero if any deviation exceeds TOL (default %(const)s)",
     )
 
     list_p = sub.add_parser("list-states", help="describe the available state families")
@@ -433,7 +437,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         output_dir=Path(fields["out"]),
         format=str(fields["format"]),
         oracle_cutoff=int(oracle_cutoff) if oracle_cutoff is not None else None,
-        compare_tolerance=compare_tol if compare_tol is not None else 1e-5,
+        compare_tolerance=compare_tol if compare_tol is not None else COMPARE_TOLERANCE,
     )
 
 

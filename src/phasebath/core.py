@@ -54,7 +54,6 @@ class ScaledBathParams:
 
     decay_factor: float
     nbar_t: float
-    t: float
 
 
 def scale_bath(params: BathParams, t: float) -> ScaledBathParams:
@@ -64,7 +63,7 @@ def scale_bath(params: BathParams, t: float) -> ScaledBathParams:
     decay = math.exp(-params.gamma * t)
     # -expm1 keeps 1 - e^{-2 gamma t} accurate at small gamma t, where
     # 1 - decay**2 cancels to a relative error of about 1e-16 / (gamma t).
-    return ScaledBathParams(decay, -params.nbar * math.expm1(-2.0 * params.gamma * t), float(t))
+    return ScaledBathParams(decay, -params.nbar * math.expm1(-2.0 * params.gamma * t))
 
 
 def _laguerre_half_all(order: int, x) -> np.ndarray:

@@ -35,16 +35,12 @@ __all__ = [
 
 def evolve_p_closed_form(spec: StateSpec, bath: BathParams, t: float):
     """Closed-form propagated weight function, a descriptor, for every catalog family."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
     scaled = scale_bath(bath, t)
     return initial_p_function(spec).convolved(scaled.decay_factor, scaled.nbar_t)
 
 
 def evolved_moments(m0: MomentSet, bath: BathParams, t: float) -> MomentSet:
     """Propagate a moment set: exponential decay toward the bath equilibrium."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
     scaled = scale_bath(bath, t)
     eta = scaled.decay_factor
     eta2 = eta * eta
@@ -63,6 +59,7 @@ def evolved_moments(m0: MomentSet, bath: BathParams, t: float) -> MomentSet:
         second_factorial=second,
         var_x=floor + (m0.var_x - 0.25) * eta2,
         var_y=floor + (m0.var_y - 0.25) * eta2,
+        a_squared=m0.a_squared * eta2,
     )
 
 

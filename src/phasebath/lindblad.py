@@ -277,4 +277,4 @@ def moments_from_rho(rho: FockDensityMatrix) -> MomentSet:
     re2 = a_squared.real
     var_x = (1.0 + 2.0 * mean_n + 2.0 * re2) / 4.0 - mean_a.real**2
     var_y = (1.0 + 2.0 * mean_n - 2.0 * re2) / 4.0 - mean_a.imag**2
-    return MomentSet(mean_a, mean_n, second, var_x, var_y)
+    return MomentSet(mean_a, mean_n, second, var_x, var_y, a_squared)

@@ -123,7 +123,8 @@ class MomentSet:
     """First and second moments of the field mode.
 
     mean_a = <a>, mean_n = <a^dag a>, second_factorial = <a^dag^2 a^2>,
-    var_x/var_y the quadrature variances for X = (a + a^dag)/2.
+    var_x/var_y the quadrature variances for X = (a + a^dag)/2, and
+    a_squared = <a^2>, whose imaginary part is twice the quadrature covariance.
     """
 
     mean_a: complex
@@ -131,6 +132,7 @@ class MomentSet:
     second_factorial: float
     var_x: float
     var_y: float
+    a_squared: complex
 
     def __post_init__(self):
         object.__setattr__(self, "mean_a", check_amplitude(self.mean_a))
@@ -138,6 +140,7 @@ class MomentSet:
         fields = (self.mean_n, self.second_factorial, self.var_x, self.var_y)
         if not all(map(math.isfinite, fields)):
             raise ValueError("moments must be finite")
+        object.__setattr__(self, "a_squared", check_amplitude(self.a_squared))
         slack = 1e-9
         if self.mean_n < -slack or self.second_factorial < -slack:
             raise ValueError("photon-number moments must be nonnegative")
@@ -153,7 +156,7 @@ class MomentSet:
         mean_a, mean_n, second_factorial, a_squared = normal_moments(desc)
         var_x = (1.0 + 2.0 * mean_n + 2.0 * a_squared.real) / 4.0 - mean_a.real**2
         var_y = (1.0 + 2.0 * mean_n - 2.0 * a_squared.real) / 4.0 - mean_a.imag**2
-        return cls(mean_a, mean_n, second_factorial, var_x, var_y)
+        return cls(mean_a, mean_n, second_factorial, var_x, var_y, a_squared)
 
     def mandel_q(self) -> float:
         if self.mean_n <= 0:

@@ -70,6 +70,7 @@ def test_criterion_1_moment_laws():
                     abs(mt.second_factorial - mo.second_factorial),
                     abs(mt.var_x - mo.var_x),
                     abs(mt.var_y - mo.var_y),
+                    abs(mt.a_squared - mo.a_squared),
                 )
                 worst = max(worst, dev)
     ok = worst < 1e-5

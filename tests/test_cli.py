@@ -531,27 +531,36 @@ class TestRunContract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(out.glob("*")) == []
 
-    def test_compare_checks_the_initial_p_function(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "state, term, moved",
+        [
+            (["--state", "photon-added-coherent", "--beta-re", "0.5", "--beta-im", "0.3"], (1, 0),
+             ["dev_mean_a", "dev_mean_n", "dev_second_factorial", "dev_var_x", "dev_a_squared"]),
+            # On a centred P0 a mixed-derivative term moves Im<a^2> alone.
+            (["--state", "photon-added-thermal", "--mbar", "0.5"], (1, 1), ["dev_a_squared"]),
+        ],
+        ids=["gradient", "mixed-derivative"],
+    )
+    def test_compare_checks_the_initial_p_function(self, tmp_path, monkeypatch, capsys, state, term, moved):
         # The initial moments are integrated from P0, so --compare fails on a
-        # P0 whose gradient coefficient a_10 is off by 1e-3.
+        # P0 with one coefficient off by 1e-3.
         real = states.initial_p_function
 
         def skewed(spec):
             p0 = real(spec)
             coeffs = np.array(p0.coeffs)
-            coeffs[1, 0] += 1e-3
+            coeffs[term] += 1e-3
             return GaussianP(p0.center, p0.width_x, p0.width_y, coeffs)
 
         def compare(out):
-            return main(
-                ["run", "--state", "photon-added-coherent", "--beta-re", "0.5", "--beta-im", "0.3",
-                 "--times", "0,1", "--outputs", "moments", "--compare", "--out", str(out)]
-            )
+            return main(["run", *state, "--times", "0,1", "--outputs", "moments", "--compare", "--out", str(out)])
 
         assert compare(tmp_path / "exact") == 0
         monkeypatch.setattr(cli, "initial_p_function", skewed)
         assert compare(tmp_path / "skewed") == 1
         assert "oracle comparison FAILED" in capsys.readouterr().err
+        header, row = (tmp_path / "skewed" / "oracle-compare-000.csv").read_text().splitlines()
+        assert [k for k, v in zip(header.split(","), row.split(",")) if k != "time" and float(v) > 1e-5] == moved
 
     @pytest.mark.parametrize(
         "state",

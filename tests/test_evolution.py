@@ -82,9 +82,10 @@ class TestEvolvedMoments:
         )
         for spec in specs:
             for t in (0.0, 0.05, 0.7, 3.0):
-                mean_a, mean_n, second, _ = normal_moments(evolve_p_closed_form(spec, bath, t))
+                mean_a, mean_n, second, a_squared = normal_moments(evolve_p_closed_form(spec, bath, t))
                 mt = evolved_moments(initial_moments(spec), bath, t)
                 assert abs(mean_a - mt.mean_a) < 1e-12
+                assert abs(a_squared - mt.a_squared) < 1e-12
                 assert mean_n == pytest.approx(mt.mean_n, rel=1e-12, abs=1e-12)
                 assert second == pytest.approx(mt.second_factorial, rel=1e-12, abs=1e-12)
 

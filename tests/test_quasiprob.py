@@ -25,56 +25,16 @@ from phasebath.quasiprob import _ORDER_EXPONENT
 from phasebath.states import FAMILY_TABLE, parse_state_spec
 
 
-def _displaced_trace(rho: FockDensityMatrix, xi: np.ndarray, exponent: float, parity: bool):
-    """Tr[rho D(xi) Pi] e^{(exponent + 1/2)|xi|^2} on a complex xi array, where
-    Pi is the parity (-1)^{a^dagger a} if ``parity`` and the identity if not."""
-    cutoff = rho.cutoff
-    x = np.abs(xi) ** 2
-    # coeffs[k, n] = rho[n, n+k] sqrt(n! k!/(n+k)!), times (-1)^n with parity
-    coeffs = np.zeros((cutoff, cutoff), dtype=complex)
-    for k in range(cutoff):
-        ratios = np.arange(1.0, cutoff - k) / np.arange(k + 1.0, cutoff)
-        coeffs[k, : cutoff - k] = np.sqrt(np.cumprod(np.concatenate(([1.0], ratios)))) * rho.elements.diagonal(k)
-    # Only the diagonals k with a nonzero coefficient contribute: from here
-    # on, row j of coeffs is diagonal ks[j].
-    ks = np.flatnonzero(coeffs.any(axis=1))
-    coeffs = coeffs[ks]
-    if parity:
-        coeffs[:, 1::2] *= -1.0
-    # The Laguerre sums depend on x alone: run them once per distinct x, for
-    # every diagonal at once.  At step n only the diagonals k < cutoff - n
-    # hold a row n, so the rest are dropped before their L_n^(k) is formed.
-    radii, where = np.unique(x, return_inverse=True)
-    total = np.zeros((ks.size, radii.size), dtype=complex)
-    # L_{n-1}^(k)(x), L_n^(k)(x), one row per live diagonal k
-    lag_prev, lag = np.zeros((ks.size, radii.size)), np.ones((ks.size, radii.size))
-    lives, kcol = np.searchsorted(ks, cutoff - np.arange(cutoff)), ks[:, None]
-    for n, live in enumerate(lives):
-        k, lag_prev, lag = kcol[:live], lag_prev[:live], lag[:live]
-        total[:live] += coeffs[:live, n, None] * lag
-        lag_prev, lag = lag, ((2 * n + 1 + k - radii) * lag - (n + k) * lag_prev) / (n + 1)
-    # xi^k / sqrt(k!) times e^{exponent x}, built up over k up to the last
-    # nonzero diagonal.
-    prefactor = np.exp(exponent * x)
-    out = np.zeros_like(xi)
-    sums = dict(zip(ks.tolist(), total))
-    for k in range(int(ks[-1]) + 1):
-        if k:
-            prefactor = prefactor * xi / math.sqrt(k)
-        if k not in sums:
-            continue
-        # np.multiply keeps a scalar xi on the same ufunc loop as an array.
-        term = np.multiply(prefactor, sums[k][where])
-        # rho is Hermitian, so diagonal -k adds the conjugate, times (-1)^k
-        # without parity; with parity that sign cancels against Pi's.
-        out += term + (1 if parity else (-1) ** k) * np.conj(term) if k else term
-    return out
-
-
 def q_at(desc, alpha: complex) -> float:
     """Q at one point: the first point of a two-by-two p_to_q_grid."""
     grid = p_to_q_grid(desc, [alpha.real, alpha.real + 1.0], [alpha.imag, alpha.imag + 1.0])
     return float(grid.values[0, 0])
+
+
+def evolved_example(family: str) -> FockDensityMatrix:
+    """The family's catalog example after Gamma = 1, nbar = 0.5, t = 0.3, at cutoff 30."""
+    spec = parse_state_spec({"family": family, **FAMILY_TABLE[family].example})
+    return integrate(fock_density(spec, 30), BathParams(gamma=1.0, nbar=0.5), [0.3])[0]
 
 
 def square_grid(half: float, n: int) -> PhaseSpaceGrid:
@@ -112,26 +72,33 @@ class TestCharacteristicFunction:
         for ordering in ("normal", "symmetric", "antinormal"):
             assert characteristic_function(rho, 0.0, ordering) == pytest.approx(1.0)
 
-    def test_array_matches_trace_against_displacement(self):
-        # Reference: Tr[rho D(xi)] with D(xi) from a matrix exponential in a
-        # basis large enough that its leading block is exact to roundoff.
+    @pytest.mark.parametrize("family", list(FAMILY_TABLE))
+    def test_array_matches_trace_against_displacement(self, family):
+        # Reference: Tr[rho D(xi)] e^{(c + 1/2)|xi|^2} with D(xi) from the
+        # generator's eigendecomposition in a basis large enough that its
+        # leading block is exact to roundoff, on every family's state after
+        # a bath.
         scattered = np.array([[0.0, 0.4 + 0.3j, -1.1 + 0.2j], [0.7j, -0.5 - 0.9j, 1.3 - 0.6j]])
         # A square lattice repeats values of |xi|^2, so its sums are gathered
         # onto it.
         axis = np.linspace(-1.5, 1.5, 7)
         lattice = axis[:, None] + 1j * axis[None, :]
         assert np.unique(np.abs(lattice) ** 2).size < lattice.size
-        # The photon-added thermal state holds its main diagonal alone.
-        for spec in (StateSpec("photon-added-coherent", beta=0.6 - 0.3j), StateSpec("photon-added-thermal", mbar=0.5)):
-            rho = fock_density(spec, 24)
-            for xi, traced in ((scattered, range(scattered.size)), (lattice, (0, 8, 24, 30, 40, 48))):
-                chi = characteristic_function(rho, xi, "symmetric")
-                assert chi.shape == xi.shape
-                for z, value in zip(xi.ravel(), chi.ravel()):
-                    assert value == characteristic_function(rho, z, "symmetric")
+        rho = evolved_example(family)
+        for xi, traced in ((scattered, range(scattered.size)), (lattice, (0, 8, 24, 30, 40, 48))):
+            chi = characteristic_function(rho, xi, "symmetric")
+            assert chi.shape == xi.shape
+            for z, value in zip(xi.ravel(), chi.ravel()):
+                assert value == characteristic_function(rho, z, "symmetric")
+            for ordering, exponent in _ORDER_EXPONENT.items():
+                chi = characteristic_function(rho, xi, ordering)
                 for i in traced:
-                    block = displacement_matrix(xi.flat[i], 90)[:24, :24]
-                    assert abs(chi.flat[i] - np.trace(rho.elements @ block)) < 1e-12
+                    z = xi.flat[i]
+                    block = displacement_matrix(z, 90)[:30, :30]
+                    expected = np.trace(rho.elements @ block) * math.exp((exponent + 0.5) * abs(z) ** 2)
+                    # Absolute, except relative where normal ordering's
+                    # e^{|xi|^2/2} lifts |chi| above 1 (about 9.5 at the corners).
+                    assert abs(chi.flat[i] - expected) <= 1e-14 * max(1.0, abs(expected))
 
     def test_rejects_unknown_ordering(self):
         rho = fock_density(StateSpec("coherent", beta=0.0), 10)
@@ -266,33 +233,19 @@ class TestWigner:
         assert var_y == pytest.approx(s / 4.0, abs=1e-4)
 
     @pytest.mark.parametrize("family", list(FAMILY_TABLE))
-    def test_matches_laguerre_reference(self, family):
-        # The per-diagonal Laguerre sums and per-k prefactors above, against
-        # the Horner assembly, on every family's state after a bath.
-        spec = parse_state_spec({"family": family, **FAMILY_TABLE[family].example})
-        rho = integrate(fock_density(spec, 40), BathParams(gamma=1.0, nbar=0.5), [0.3])[0]
-        grid = square_grid(3.0, 25)
-        w = wigner_from_characteristic(rho, grid).values
-        xi = 2.0 * (grid.x_axis[:, None] + 1j * grid.x_axis[None, :])
-        expected = (2.0 / math.pi) * _displaced_trace(rho, xi, -0.5, parity=True).real
-        assert np.max(np.abs(w - expected)) <= 1e-14 * np.max(np.abs(expected))
-        for ordering, exponent in _ORDER_EXPONENT.items():
-            chi = characteristic_function(rho, xi / 4.0, ordering)
-            expected = _displaced_trace(rho, xi / 4.0, exponent, parity=False)
-            assert np.max(np.abs(chi - expected)) <= 1e-14 * np.max(np.abs(expected))
-
-    def test_matches_parity_of_the_displaced_state(self):
+    def test_matches_parity_of_the_displaced_state(self, family):
         # W(alpha) = (2/pi) sum_k (-1)^k <k|D(alpha)^dagger rho D(alpha)|k>,
         # with rho embedded in a basis of 150 and D(alpha) not cropped to the
         # cutoff, so every displaced population is summed.
-        rho = fock_density(StateSpec("photon-added-coherent", beta=0.6 - 0.3j), 30)
+        rho = evolved_example(family)
         embedded = np.zeros((150, 150), dtype=complex)
         embedded[:30, :30] = rho.elements
         axis = np.array([-0.8, -0.1, 0.6])
         grid = wigner_from_characteristic(rho, PhaseSpaceGrid(axis, axis, np.zeros((3, 3)), {}))
         signs = (-1.0) ** np.arange(150)
-        for i, j in ((0, 1), (1, 1), (2, 0), (1, 2), (2, 2)):  # |alpha| <= 1
-            d = displacement_matrix(complex(axis[i], axis[j]), 150)
-            displaced = d.conj().T @ embedded @ d
-            expected = (2.0 / math.pi) * float(np.sum(signs * displaced.diagonal().real))
-            assert abs(grid.values[i, j] - expected) < 1e-12
+        for i in range(3):
+            for j in range(3):  # |alpha| <= 1.14
+                d = displacement_matrix(complex(axis[i], axis[j]), 150)
+                displaced = d.conj().T @ embedded @ d
+                expected = (2.0 / math.pi) * float(np.sum(signs * displaced.diagonal().real))
+                assert abs(grid.values[i, j] - expected) <= 1e-14

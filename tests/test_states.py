@@ -107,10 +107,11 @@ class TestInitialMoments:
             assert m_closed.second_factorial == pytest.approx(m_num.second_factorial, abs=1e-6), case
             assert m_closed.var_x == pytest.approx(m_num.var_x, abs=1e-7), case
             assert m_closed.var_y == pytest.approx(m_num.var_y, abs=1e-7), case
+            assert abs(m_closed.a_squared - m_num.a_squared) < 1e-7, case
 
     @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.family)
     def test_a_squared_matches_truncated_density_matrix(self, spec):
-        # MomentSet keeps only Re<a^2>, through the variances; this checks all of it.
+        # <a^2> against Tr[rho a^2] from the annihilation matrix, apart from moments_from_rho.
         for case in [spec, *seeded_specs(spec.family)]:
             cutoff = default_cutoff(initial_p_function(case)) + 60
             a = annihilation(cutoff)
