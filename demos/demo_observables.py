@@ -27,7 +27,7 @@ for spec in catalog:
     print(f"{spec.family}  (initial <n> = {m0.mean_n:.3f}, Q = {m0.mandel_q():+.3f})")
     print("    t      <n>      var_x    Mandel Q")
     for t in times:
-        m = evolved_moments(m0, bath, float(t))
+        m = evolved_moments(spec, bath, float(t))
         print(
             f"  {t:4.1f}  {m.mean_n:8.4f}  {m.var_x:8.4f}  {m.mandel_q():+9.4f}"
         )

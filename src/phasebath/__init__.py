@@ -7,7 +7,6 @@ truncated number basis and against quasiprobability transforms.
 
 from .core import (
     BathParams,
-    ScaledBathParams,
     check_amplitude,
     scale_bath,
     tricomi_u_half,

@@ -5,9 +5,9 @@ manifest.  Data files are deterministic: identical configs produce
 byte-identical files, and no timestamps appear outside the manifest.
 
 The P, W and Q grids all come from the closed-form P_t, evaluated after the
-kernel of width 0, 1/2 or 1.  The Fock-basis density matrix is built and
-propagated only for ``oracle-compare`` (``--compare``), whose basis
-``--oracle-cutoff`` sizes.
+kernel of width 0, 1/2 or 1, and every moment is read off the same P_t.  The
+Fock-basis density matrix is built and propagated only for
+``oracle-compare`` (``--compare``), whose basis ``--oracle-cutoff`` sizes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .core import BathParams, scale_bath
 from .descriptors import evaluate_p, singular_part
-from .evolution import evolved_moments
 from .lindblad import integrate, moments_from_rho
 from .quasiprob import PhaseSpaceGrid
 from .states import (
@@ -222,9 +221,7 @@ def run(config: RunConfig) -> int:
     ext = config.format
     axis = config.grid.axis()
     p0 = initial_p_function(config.state)
-    m0 = MomentSet.from_p(p0)
 
-    needs_p = any(a in config.outputs for a in _GRID_KERNELS)
     needs_rho = "oracle-compare" in config.outputs
     rhos = None
     trace_deficits: list[float] = []
@@ -242,9 +239,8 @@ def run(config: RunConfig) -> int:
     pending: list[tuple] = []  # (file name, writer, contents)
     deviations: list[float] = []
     for idx, t in enumerate(config.times):
-        scaled = scale_bath(config.bath, t)
-        form = p0.convolved(scaled.decay_factor, scaled.nbar_t) if needs_p else None
-        mt = evolved_moments(m0, config.bath, t)
+        form = p0.convolved(*scale_bath(config.bath, t))
+        mt = MomentSet.from_p(form)
         for artifact in config.outputs:
             name = f"{artifact}-{idx:03d}.{ext}"
             if artifact in _GRID_KERNELS:

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "BathParams",
-    "ScaledBathParams",
     "check_amplitude",
     "scale_bath",
     "tricomi_u_half",
@@ -48,22 +47,15 @@ class BathParams:
             raise ValueError(f"nbar must be nonnegative and finite, got {self.nbar}")
 
 
-@dataclass(frozen=True)
-class ScaledBathParams:
-    """Time-scaled bath image: decay_factor = e^{-gamma t}, nbar_t = nbar (1 - e^{-2 gamma t})."""
-
-    decay_factor: float
-    nbar_t: float
-
-
-def scale_bath(params: BathParams, t: float) -> ScaledBathParams:
-    """Map (gamma, nbar) to its image after an elapsed time t >= 0."""
+def scale_bath(params: BathParams, t: float) -> tuple[float, float]:
+    """The bath kernel after an elapsed time t >= 0: the pair (eta, w) =
+    (e^{-gamma t}, nbar (1 - e^{-2 gamma t})) that ``GaussianP.convolved`` takes."""
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"elapsed time must be nonnegative and finite, got {t}")
     decay = math.exp(-params.gamma * t)
     # -expm1 keeps 1 - e^{-2 gamma t} accurate at small gamma t, where
     # 1 - decay**2 cancels to a relative error of about 1e-16 / (gamma t).
-    return ScaledBathParams(decay, -params.nbar * math.expm1(-2.0 * params.gamma * t))
+    return decay, -params.nbar * math.expm1(-2.0 * params.gamma * t)
 
 
 def _laguerre_half_all(order: int, x) -> np.ndarray:

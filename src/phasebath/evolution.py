@@ -6,12 +6,13 @@ A damped mode in a bath (gamma, nbar) maps an initial weight function P0 to
 
 with eta = e^{-gamma t} and nbar_t = nbar (1 - eta^2).  This is the one map
 of the one descriptor kind, ``convolved(eta, nbar_t)`` (see ``descriptors``),
-so the evolved P is ``P0.convolved(eta, nbar_t)`` for every catalog state.
-At nbar = 0 the kernel has zero width and the map is the pure decay
-P0(alpha/eta)/eta^2.  ``convolve_p_numeric`` computes the same integral by
-quadrature from a regular P, as an independent cross-check; a singular P is
-checked through the semigroup law, by convolving its regular image at a
-later time.
+so the evolved P is ``P0.convolved(eta, nbar_t)`` for every catalog state,
+and every moment of the evolved state is read off that P_t by
+``MomentSet.from_p``.  At nbar = 0 the kernel has zero width and the map is
+the pure decay P0(alpha/eta)/eta^2.  ``convolve_p_numeric`` computes the same
+integral by quadrature from a regular P, as an independent cross-check; a
+singular P is checked through the semigroup law, by convolving its regular
+image at a later time.
 """
 
 from __future__ import annotations
@@ -35,32 +36,12 @@ __all__ = [
 
 def evolve_p_closed_form(spec: StateSpec, bath: BathParams, t: float):
     """Closed-form propagated weight function, a descriptor, for every catalog family."""
-    scaled = scale_bath(bath, t)
-    return initial_p_function(spec).convolved(scaled.decay_factor, scaled.nbar_t)
+    return initial_p_function(spec).convolved(*scale_bath(bath, t))
 
 
-def evolved_moments(m0: MomentSet, bath: BathParams, t: float) -> MomentSet:
-    """Propagate a moment set: exponential decay toward the bath equilibrium."""
-    scaled = scale_bath(bath, t)
-    eta = scaled.decay_factor
-    eta2 = eta * eta
-    nt = scaled.nbar_t
-    mean_n = m0.mean_n * eta2 + nt
-    second = (
-        (m0.second_factorial - m0.mean_n**2) * eta2 * eta2
-        + 2.0 * nt * m0.mean_n * eta2
-        + nt * nt
-        + mean_n * mean_n
-    )
-    floor = (2.0 * nt + 1.0) / 4.0
-    return MomentSet(
-        mean_a=m0.mean_a * eta,
-        mean_n=mean_n,
-        second_factorial=second,
-        var_x=floor + (m0.var_x - 0.25) * eta2,
-        var_y=floor + (m0.var_y - 0.25) * eta2,
-        a_squared=m0.a_squared * eta2,
-    )
+def evolved_moments(spec: StateSpec, bath: BathParams, t: float) -> MomentSet:
+    """Moments of the evolved state, read off its closed-form P_t."""
+    return MomentSet.from_p(evolve_p_closed_form(spec, bath, t))
 
 
 def convolve_p_numeric(p0, bath: BathParams, t: float, grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
@@ -76,8 +57,7 @@ def convolve_p_numeric(p0, bath: BathParams, t: float, grid: PhaseSpaceGrid) -> 
     singular = singular_part(p0)
     if singular:
         raise TypeError(f"cannot convolve a singular descriptor ({singular})")
-    scaled = scale_bath(bath, t)
-    eta, nt = scaled.decay_factor, scaled.nbar_t
+    eta, nt = scale_bath(bath, t)
     if nt <= 0.0:
         raise ValueError("kernel width nbar_t must be positive; use the pure-decay path")
     x = np.asarray(grid.x_axis)

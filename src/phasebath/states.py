@@ -152,10 +152,15 @@ class MomentSet:
     @classmethod
     def from_p(cls, desc: GaussianP) -> "MomentSet":
         """Moments of the state that ``desc`` describes, with var X = (1 + 2<n> +
-        2 Re<a^2>)/4 - (Re<a>)^2 and var Y = (1 + 2<n> - 2 Re<a^2>)/4 - (Im<a>)^2."""
+        2 Re<a^2>)/4 - (Re<a>)^2 and var Y = (1 + 2<n> - 2 Re<a^2>)/4 - (Im<a>)^2.
+
+        The variances do not depend on the centre, so they are taken from the
+        same descriptor moved to the origin: at the centre, the difference
+        would cancel about |center|^2 times the roundoff."""
         mean_a, mean_n, second_factorial, a_squared = normal_moments(desc)
-        var_x = (1.0 + 2.0 * mean_n + 2.0 * a_squared.real) / 4.0 - mean_a.real**2
-        var_y = (1.0 + 2.0 * mean_n - 2.0 * a_squared.real) / 4.0 - mean_a.imag**2
+        c_a, c_n, _, c_a2 = normal_moments(GaussianP(0j, desc.width_x, desc.width_y, desc.coeffs))
+        var_x = (1.0 + 2.0 * c_n + 2.0 * c_a2.real) / 4.0 - c_a.real**2
+        var_y = (1.0 + 2.0 * c_n - 2.0 * c_a2.real) / 4.0 - c_a.imag**2
         return cls(mean_a, mean_n, second_factorial, var_x, var_y, a_squared)
 
     def mandel_q(self) -> float:

@@ -24,7 +24,6 @@ from phasebath import (
     fock_density,
     fock_populations,
     husimi_q_grid,
-    initial_moments,
     initial_p_function,
     integrate,
     moments_from_rho,
@@ -60,9 +59,8 @@ def test_criterion_1_moment_laws():
         for spec in CATALOG:
             rho0 = fock_density(spec, 60)
             states = integrate(rho0, bath, times)
-            m0 = initial_moments(spec)
             for t, rho in zip(times, states):
-                mt = evolved_moments(m0, bath, t)
+                mt = evolved_moments(spec, bath, t)
                 mo = moments_from_rho(rho)
                 dev = max(
                     abs(mt.mean_a - mo.mean_a),
@@ -190,7 +188,6 @@ def test_criterion_6_normalization_and_physicality():
     worst_floor = math.inf
     axis = np.linspace(-4.0, 4.0, 33)
     for spec in CATALOG:
-        m0 = initial_moments(spec)
         for t in (0.2, 0.5, 1.0, 3.0):
             form = evolve_p_closed_form(spec, bath, t)
             if is_regular(form):
@@ -203,7 +200,7 @@ def test_criterion_6_normalization_and_physicality():
             q = p_to_q_grid(form, axis, axis).values
             q_low = min(q_low, float(q.min()))
             q_high = max(q_high, float(q.max()))
-            mt = evolved_moments(m0, bath, t)
+            mt = evolved_moments(spec, bath, t)
             worst_floor = min(worst_floor, mt.var_x * mt.var_y)
     ok = (
         worst_mass < 1e-7
@@ -228,8 +225,7 @@ def test_criterion_7_mandel_q_sweep():
     times = np.linspace(0.0, 5.0, 26)
     rho0 = fock_density(spec, 60)
     states = integrate(rho0, bath, times)
-    m0 = initial_moments(spec)
-    analytic = np.array([evolved_moments(m0, bath, float(t)).mandel_q() for t in times])
+    analytic = np.array([evolved_moments(spec, bath, float(t)).mandel_q() for t in times])
     oracle = np.array([moments_from_rho(r).mandel_q() for r in states])
     worst = float(np.max(np.abs(analytic - oracle)))
     sign_ok = (

@@ -565,6 +565,56 @@ class TestRunContract:
     @pytest.mark.parametrize(
         "state",
         [
+            ["--state", "coherent", "--beta-re", "1", "--beta-im", "0.5"],
+            ["--state", "photon-added-thermal", "--mbar", "1"],
+            ["--state", "squeezed-coherent", "--beta-re", "1", "--squeeze", "2"],
+        ],
+        ids=["coherent", "photon-added-thermal", "squeezed-coherent"],
+    )
+    def test_compare_checks_the_evolved_p_function(self, tmp_path, monkeypatch, capsys, state):
+        # Every moment is read off P_t, so --compare fails on a bath map that
+        # widens P_t by 1e-3 too much.  At t = 0 the map is the identity.
+        real = GaussianP.convolved
+
+        def widened(desc, decay_factor, width):
+            return real(desc, decay_factor, width + 1e-3 if decay_factor < 1.0 else width)
+
+        def compare(out):
+            return main(["run", *state, "--gamma", "1", "--nbar", "0.4", "--times", "0,1",
+                         "--outputs", "moments", "--compare", "--out", str(out)])
+
+        assert compare(tmp_path / "exact") == 0
+        monkeypatch.setattr(GaussianP, "convolved", widened)
+        assert compare(tmp_path / "widened") == 1
+        assert "oracle comparison FAILED" in capsys.readouterr().err
+        for idx, failed in ((0, False), (1, True)):
+            header, row = (tmp_path / "widened" / f"oracle-compare-00{idx}.csv").read_text().splitlines()
+            record = dict(zip(header.split(","), map(float, row.split(","))))
+            assert (record["dev_mean_n"] > 1e-5) is failed
+
+    @pytest.mark.parametrize(
+        "state, cutoff",
+        [
+            (["--state", "squeezed-coherent", "--beta-re", "3", "--squeeze", "3"], "8"),
+            (["--state", "displaced-thermal", "--beta-re", "4", "--mbar", "0.5"], "20"),
+        ],
+        ids=["squeezed-coherent", "displaced-thermal"],
+    )
+    def test_compare_catches_a_truncated_displacement_or_squeeze(self, tmp_path, capsys, state, cutoff):
+        # The truncated D and S are unitary on the kept basis, so rho0's trace
+        # deficit cannot show the truncation; the moments of P0 do.
+        out = tmp_path / "out"
+        code = main(["run", *state, "--times", "0", "--outputs", "moments", "--compare",
+                     "--oracle-cutoff", cutoff, "--out", str(out)])
+        assert code == 1
+        assert "oracle comparison FAILED" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert abs(manifest["trace_deficits"][0]) < 1e-3
+        assert manifest["oracle_compare"]["worst_deviation"] > 1.0
+
+    @pytest.mark.parametrize(
+        "state",
+        [
             ["--state", "thermal", "--mbar", "1"],
             ["--state", "displaced-thermal", "--beta-re", "1", "--mbar", "0.5"],
         ],

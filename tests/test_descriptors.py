@@ -88,14 +88,12 @@ class TestEvaluation:
         y = np.linspace(-2.5, 3.5, 37)
         checked = 0
         for t, form in zip(TIMES, family_forms(family, bath)):
-            scaled = scale_bath(bath, t)
+            eta, nbar_t = scale_bath(bath, t)
             for width in (0.0, 0.5, 1.0):
                 image = form.convolved(1.0, width)
                 if not is_regular(image):
                     continue
-                reference = photon_added_reference(
-                    spec, scaled.decay_factor, scaled.nbar_t + width, x, y
-                )
+                reference = photon_added_reference(spec, eta, nbar_t + width, x, y)
                 values = evaluate_p(image, x[:, None], y[None, :])
                 assert float(np.max(np.abs(values - reference))) <= 1e-14 * float(
                     np.max(np.abs(reference))

@@ -148,10 +148,10 @@ class TestIntegration:
         spec = StateSpec("displaced-thermal", beta=1.0 - 0.5j, mbar=0.5)
         bath = BathParams(gamma=0.5, nbar=1.0)
         t = 0.7
-        from phasebath import evolved_moments, initial_moments
+        from phasebath import evolved_moments
 
         rho_t = integrate(fock_density(spec, 70), bath, [t])[0]
-        mt = evolved_moments(initial_moments(spec), bath, t)
+        mt = evolved_moments(spec, bath, t)
         mo = moments_from_rho(rho_t)
         assert abs(mt.mean_a - mo.mean_a) < 1e-8
         assert mt.mean_n == pytest.approx(mo.mean_n, abs=1e-8)
