@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .core import BathParams, scale_bath
-from .descriptors import evaluate_p, singular_part
+from .descriptors import evaluate_p, fock_populations, singular_part
 from .lindblad import integrate, moments_from_rho
 from .quasiprob import PhaseSpaceGrid
 from .states import (
@@ -266,6 +266,7 @@ def run(config: RunConfig) -> int:
                           "product": float(mt.var_x * mt.var_y)}
             else:  # oracle-compare
                 mo = moments_from_rho(rhos[idx])
+                populations = np.diagonal(rhos[idx].elements).real
                 record = {
                     "time": t,
                     "dev_mean_a": abs(mt.mean_a - mo.mean_a),
@@ -274,6 +275,7 @@ def run(config: RunConfig) -> int:
                     "dev_var_x": abs(mt.var_x - mo.var_x),
                     "dev_var_y": abs(mt.var_y - mo.var_y),
                     "dev_a_squared": abs(mt.a_squared - mo.a_squared),
+                    "dev_populations": float(np.max(np.abs(fock_populations(form, cutoff) - populations))),
                 }
                 deviations.extend(v for k, v in record.items() if k != "time")
             pending.append((name, _write_record, record))

@@ -39,7 +39,6 @@ __all__ = [
     "GaussianP",
     "evaluate_p",
     "integral_p",
-    "is_regular",
     "normal_moments",
     "singular_part",
     "rescale_zero_temperature",
@@ -47,8 +46,6 @@ __all__ = [
 ]
 
 _NORMALIZATION_TOL = 1e-8
-# Gauss-Legendre nodes per axis for the population integrals.
-_POPULATION_NODES = 240
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -116,33 +113,33 @@ def singular_part(desc: GaussianP) -> str | None:
     return None
 
 
-def is_regular(desc: GaussianP) -> bool:
-    """True if the descriptor is an ordinary function of alpha."""
-    return singular_part(desc) is None
+def _hermite_gaussian(center: complex, width_x, width_y, coeffs: np.ndarray, x, y) -> np.ndarray:
+    """sum_ij coeffs[i, j] d_u^i d_v^j [G_wx(u) G_wy(v)] at alpha = x + iy.
+
+    d_u^i G_w = (-1/sqrt(w))^i H_i(u/sqrt(w)) G_w (H_i the physicists' Hermite
+    polynomial): a Hermite sum in u, then in v, times the Gaussian.  The widths
+    may be complex arrays with positive real part that broadcast with x and y.
+    """
+    u = np.asarray(x, dtype=float) - center.real
+    v = np.asarray(y, dtype=float) - center.imag
+    root_x, root_y = np.sqrt(width_x), np.sqrt(width_y)
+    scaled_u = u / root_x
+    # Coefficient axes lead, one trailing axis per axis of the u points.
+    i, j = np.indices(coeffs.shape).reshape(2, *coeffs.shape, *(1,) * scaled_u.ndim)
+    scaled = coeffs.reshape(i.shape) * (-1.0 / root_x) ** i * (-1.0 / root_y) ** j
+    hermval = np.polynomial.hermite.hermval
+    series = hermval(v / root_y, hermval(scaled_u, scaled, tensor=False), tensor=False)
+    # Written so that equal widths give exp(-(u^2 + v^2)/w) / (pi w) exactly.
+    gaussian = np.exp(-(u * u + v * v * (width_x / width_y)) / width_x)
+    return series * gaussian * (1.0 / (math.pi * np.sqrt(width_x * width_y)))
 
 
 def evaluate_p(desc: GaussianP, x, y) -> np.ndarray:
-    """Evaluate a regular descriptor at alpha = x + iy (arrays broadcast).
-
-    d_u^i G_w = (-1/sqrt(w))^i H_i(u/sqrt(w)) G_w with H_i the physicists'
-    Hermite polynomial, so the series is a Hermite sum in u, then in v, times
-    the Gaussian.
-    """
+    """Evaluate a regular descriptor at alpha = x + iy (arrays broadcast)."""
     singular = singular_part(desc)
     if singular:
         raise TypeError(f"descriptor with {singular} is singular; cannot evaluate pointwise")
-    u = np.asarray(x, dtype=float) - desc.center.real
-    v = np.asarray(y, dtype=float) - desc.center.imag
-    root_x, root_y = math.sqrt(desc.width_x), math.sqrt(desc.width_y)
-    i, j = np.indices(desc.coeffs.shape)
-    scaled = desc.coeffs * (-1.0 / root_x) ** i * (-1.0 / root_y) ** j
-    hermval = np.polynomial.hermite.hermval
-    series = hermval(v / root_y, hermval(u / root_x, scaled), tensor=False)
-    # Written so that equal widths give exp(-(u^2 + v^2)/w) / (pi w) exactly.
-    ratio = desc.width_x / desc.width_y
-    return series * np.exp(-(u * u + v * v * ratio) / desc.width_x) * (
-        1.0 / (math.pi * math.sqrt(desc.width_x * desc.width_y))
-    )
+    return _hermite_gaussian(desc.center, desc.width_x, desc.width_y, desc.coeffs, x, y)
 
 
 def integral_p(desc: GaussianP) -> float:
@@ -154,12 +151,12 @@ def normal_moments(desc: GaussianP) -> tuple[complex, float, float, complex]:
     """<a>, <a^dag a>, <a^dag^2 a^2> and <a^2> of the state that ``desc`` describes.
 
     P gives every normally ordered moment, <a^dag^m a^n> = integral P alpha*^m
-    alpha^n d2alpha, so these are sums of t[p][q] = integral P (Re alpha)^p
-    (Im alpha)^q, p + q <= 4.  Per axis, by parts, integral x^p d^i G_w(x - c) dx
-    = (-1)^i p!/(p - i)! nu_(p-i), with nu_k the raw moments of the normal law
-    of mean c and variance w/2; they are polynomials in w, so signed widths
-    need no special case.  The sums run over Python floats: an overflow gives
-    inf, never a numpy warning.
+    alpha^n d2alpha, so these are eight sums over the nonzero coefficients,
+    t[p, q] = integral P (Re alpha)^p (Im alpha)^q.  Per axis, by parts,
+    integral x^p d^i G_w(x - c) dx = (-1)^i p!/(p - i)! nu_(p-i), with nu_k
+    the raw moments of the normal law of mean c and variance w/2; they are
+    polynomials in w, so signed widths need no special case.  The sums run
+    over Python floats: an overflow gives inf, never a numpy warning.
     """
     coeffs = desc.coeffs.tolist()
 
@@ -172,13 +169,14 @@ def normal_moments(desc: GaussianP) -> tuple[complex, float, float, complex]:
 
     mx = axis(desc.center.real, desc.width_x, len(coeffs))
     my = axis(desc.center.imag, desc.width_y, len(coeffs[0]))
-    t = [[sum(a * mx[p][i] * my[q][j] for i, row in enumerate(coeffs) for j, a in enumerate(row))
-          for q in range(5 - p)] for p in range(5)]
+    terms = [(a, i, j) for i, row in enumerate(coeffs) for j, a in enumerate(row) if a]
+    t = {(p, q): sum(a * mx[p][i] * my[q][j] for a, i, j in terms)
+         for p, q in ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (4, 0), (2, 2), (0, 4))}
     return (
-        complex(t[1][0], t[0][1]),
-        t[2][0] + t[0][2],
-        t[4][0] + 2.0 * t[2][2] + t[0][4],
-        complex(t[2][0] - t[0][2], 2.0 * t[1][1]),
+        complex(t[1, 0], t[0, 1]),
+        t[2, 0] + t[0, 2],
+        t[4, 0] + 2.0 * t[2, 2] + t[0, 4],
+        complex(t[2, 0] - t[0, 2], 2.0 * t[1, 1]),
     )
 
 
@@ -194,38 +192,37 @@ def rescale_zero_temperature(desc: GaussianP, decay_factor: float) -> GaussianP:
 
 
 def fock_populations(desc: GaussianP, cutoff: int) -> np.ndarray:
-    """Number-state populations <k|rho|k> of the state described by ``desc``.
+    """Number-state populations <k|rho|k>, k < cutoff, of the state described by ``desc``.
 
-    p_k = integral P(alpha) e^{-|alpha|^2} |alpha|^{2k} / k! d2alpha,
-    by tensor Gauss-Legendre quadrature for a regular descriptor and in
-    closed form for a point mass (Poissonian weights).
+    G(z) = sum_k p_k z^k = integral P e^{-(1 - z)|alpha|^2} d2alpha (Glauber,
+    Phys. Rev. 131, 2766 (1963)) is pi/(1 - z) times P convolved at width
+    1/(1 - z), read at alpha = 0: at the N roots of unity z_j = e^{i theta_j}
+    that width is 1/2 + (i/2) cot(theta_j/2).  Their transform adds p_(k+N) +
+    p_(k+2N) + ... to p_k, so N passes the bulk, <n> + 10 sigma_n, by 42 (m +
+    1/2) levels, where a geometric tail of occupation m = <n> - |<a>|^2 +
+    |<a^2> - <a>^2| (a Gaussian's largest width) falls by e^-42.  A point
+    mass off the origin keeps its exact Poisson law.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     ks = np.arange(cutoff)
-    singular = singular_part(desc)
-    if singular == "a point mass" and desc.width == 0.0:
+    if singular_part(desc) == "a point mass" and desc.width == 0.0 and desc.center:
         nsq = abs(desc.center) ** 2
-        if nsq == 0.0:
-            out = np.zeros(cutoff)
-            out[0] = 1.0
-            return out
-        logp = ks * math.log(nsq) - nsq - [math.lgamma(k + 1) for k in ks]
-        return np.exp(logp)
-    if singular:
-        raise TypeError(f"cannot take populations of a descriptor with {singular}")
-    reach = 8.0 * math.sqrt(desc.width) + math.sqrt(cutoff) + 4.0
-    xs, wx = np.polynomial.legendre.leggauss(_POPULATION_NODES)
-    xg = desc.center.real + reach * xs
-    yg = desc.center.imag + reach * xs
-    w2 = np.outer(wx, wx) * reach * reach
-    X, Y = np.meshgrid(xg, yg, indexing="ij")
-    pvals = evaluate_p(desc, X, Y)
-    r2 = X * X + Y * Y
-    logs = np.log(np.maximum(r2, 1e-300))
-    out = np.empty(cutoff)
-    lgam = np.array([math.lgamma(k + 1) for k in ks])
-    for k in ks:
-        weight = np.exp(k * logs - r2 - lgam[k])
-        out[k] = float(np.sum(w2 * pvals * weight))
-    return out
+        return np.exp(ks * math.log(nsq) - nsq - [math.lgamma(k + 1) for k in ks])
+    mean_a, mean_n, second_factorial, a_squared = normal_moments(desc)
+    spread = math.sqrt(max(second_factorial + mean_n - mean_n * mean_n, 0.0))
+    m = mean_n - abs(mean_a) ** 2 + abs(a_squared - mean_a * mean_a)
+    size = max(cutoff, math.ceil(mean_n + 10.0 * spread + 42.0 * (m + 0.5)))
+    if size > 1 << 20:
+        raise ValueError(f"populations of a state with <n> = {mean_n:.6g} need {size} roots of unity")
+    js = np.arange(1, size)
+    width = 0.5 + 0.5j / np.tan(math.pi * js / size)  # 1/(1 - z_j)
+    g = math.pi * width * _hermite_gaussian(
+        desc.center, desc.width_x + width, desc.width_y + width, desc.coeffs, 0.0, 0.0
+    )
+    # z_j^-k from the reduced exponent jk mod N is exact at every k; blocks of
+    # levels keep each phase matrix within 2^20 entries.  G(1) is the mass.
+    roots = np.exp(-2j * math.pi / size * np.arange(size))
+    step = max(1, (1 << 20) // size)
+    sums = [roots[np.outer(ks[a : a + step], js) % size] @ g for a in range(0, cutoff, step)]
+    return (desc.coeffs[0, 0] + np.concatenate(sums)).real / size

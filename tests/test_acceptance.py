@@ -32,7 +32,7 @@ from phasebath import (
     scale_bath,
     tricomi_u_half,
 )
-from phasebath.descriptors import is_regular
+from phasebath.descriptors import singular_part
 
 CATALOG = [
     StateSpec("coherent", beta=1.5 + 0.5j),
@@ -129,12 +129,23 @@ def test_criterion_3_end_to_end_chain():
 
 
 def test_criterion_4_zero_temperature_rescaling():
-    """Pure-decay descriptor rescaling vs propagated Fock populations."""
+    """Pure-decay descriptor rescaling vs propagated Fock populations.
+
+    Coherent and photon-added-coherent P0 are a point mass and a delta
+    derivative, and squeezed-coherent at s = 4 has a negative width.
+    """
     bath = BathParams(gamma=1.0, nbar=0.0)
     t = 0.7
     eta = math.exp(-bath.gamma * t)
     worst = 0.0
-    for spec in (StateSpec("thermal", mbar=1.2), StateSpec("photon-added-thermal", mbar=1.0)):
+    for spec in (
+        StateSpec("thermal", mbar=1.2),
+        StateSpec("photon-added-thermal", mbar=1.0),
+        StateSpec("coherent", beta=1.0 + 0.5j),
+        StateSpec("displaced-thermal", beta=1.0, mbar=0.5),
+        StateSpec("photon-added-coherent", beta=1.0 + 0.5j),
+        StateSpec("squeezed-coherent", beta=0.8, squeeze=4.0),
+    ):
         rescaled = rescale_zero_temperature(initial_p_function(spec), eta)
         pops = fock_populations(rescaled, 60)
         rho = integrate(fock_density(spec, 60), bath, [t])[0]
@@ -190,7 +201,7 @@ def test_criterion_6_normalization_and_physicality():
     for spec in CATALOG:
         for t in (0.2, 0.5, 1.0, 3.0):
             form = evolve_p_closed_form(spec, bath, t)
-            if is_regular(form):
+            if singular_part(form) is None:
                 half = abs(form.center) + 8.0 * math.sqrt(form.width)
                 u = nodes * half
                 wu = w * half

@@ -535,7 +535,8 @@ class TestRunContract:
         "state, term, moved",
         [
             (["--state", "photon-added-coherent", "--beta-re", "0.5", "--beta-im", "0.3"], (1, 0),
-             ["dev_mean_a", "dev_mean_n", "dev_second_factorial", "dev_var_x", "dev_a_squared"]),
+             ["dev_mean_a", "dev_mean_n", "dev_second_factorial", "dev_var_x", "dev_a_squared",
+              "dev_populations"]),
             # On a centred P0 a mixed-derivative term moves Im<a^2> alone.
             (["--state", "photon-added-thermal", "--mbar", "0.5"], (1, 1), ["dev_a_squared"]),
         ],
@@ -591,6 +592,31 @@ class TestRunContract:
             header, row = (tmp_path / "widened" / f"oracle-compare-00{idx}.csv").read_text().splitlines()
             record = dict(zip(header.split(","), map(float, row.split(","))))
             assert (record["dev_mean_n"] > 1e-5) is failed
+
+    def test_compare_checks_the_populations_of_p_t(self, tmp_path, monkeypatch, capsys):
+        # A sixth derivative added to P_t leaves every moment through fourth
+        # order unchanged, so of all the columns only dev_populations sees it.
+        real = GaussianP.convolved
+
+        def reshaped(desc, decay_factor, width):
+            form = real(desc, decay_factor, width)
+            if decay_factor == 1.0:
+                return form
+            coeffs = np.zeros((7, 1))
+            coeffs[0, 0], coeffs[6, 0] = 1.0, 1e-3
+            return GaussianP(form.center, form.width_x, form.width_y, coeffs)
+
+        def compare(out):
+            return main(["run", "--state", "thermal", "--mbar", "1", "--gamma", "1", "--nbar", "0.4",
+                         "--times", "0,1", "--outputs", "moments", "--compare", "--out", str(out)])
+
+        assert compare(tmp_path / "exact") == 0
+        monkeypatch.setattr(GaussianP, "convolved", reshaped)
+        assert compare(tmp_path / "reshaped") == 1
+        assert "oracle comparison FAILED" in capsys.readouterr().err
+        header, row = (tmp_path / "reshaped" / "oracle-compare-001.csv").read_text().splitlines()
+        record = dict(zip(header.split(","), map(float, row.split(","))))
+        assert [k for k, v in record.items() if k != "time" and v > 1e-5] == ["dev_populations"]
 
     @pytest.mark.parametrize(
         "state, cutoff",
@@ -663,9 +689,11 @@ for name, entry in FAMILY_TABLE.items():
         codes.append(cli.main(argv))
 loaded = scipy_modules()
 numpy_ma = "numpy.ma" in sys.modules
+numpy_fft = "numpy.fft" in sys.modules
 import scipy.linalg  # the detector must see a scipy import
 
-print(json.dumps({"codes": codes, "loaded": loaded, "numpy_ma": numpy_ma, "control": scipy_modules()}))
+print(json.dumps({"codes": codes, "loaded": loaded, "numpy_ma": numpy_ma, "numpy_fft": numpy_fft,
+                  "control": scipy_modules()}))
 """
 
 
@@ -698,6 +726,11 @@ class TestImportSplit:
     def test_compare_route_never_loads_numpy_ma(self, routes_run):
         # np.unique imports numpy.ma (numpy 2.4), a module that no run route needs.
         assert routes_run[1]["numpy_ma"] is False
+
+    def test_compare_route_never_loads_numpy_fft(self, routes_run):
+        # The population transform is a small matrix product; numpy.fft
+        # would add to every --compare run's import time and memory.
+        assert routes_run[1]["numpy_fft"] is False
 
     def test_package_source_never_imports_scipy(self):
         # Any import, at any depth: a lazy one inside a function would escape

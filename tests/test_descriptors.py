@@ -16,9 +16,10 @@ from phasebath import (
     rescale_zero_temperature,
     scale_bath,
 )
-from phasebath.descriptors import GaussianP, is_regular, singular_part
+from phasebath.descriptors import GaussianP, normal_moments, singular_part
+from phasebath.lindblad import integrate
 from phasebath.quasiprob import PhaseSpaceGrid
-from phasebath.states import FAMILY_TABLE, parse_state_spec
+from phasebath.states import FAMILIES, FAMILY_TABLE, default_cutoff, fock_density, parse_state_spec
 
 TIMES = (0.0, 0.3, 1.0)
 
@@ -91,7 +92,7 @@ class TestEvaluation:
             eta, nbar_t = scale_bath(bath, t)
             for width in (0.0, 0.5, 1.0):
                 image = form.convolved(1.0, width)
-                if not is_regular(image):
+                if singular_part(image):
                     continue
                 reference = photon_added_reference(spec, eta, nbar_t + width, x, y)
                 values = evaluate_p(image, x[:, None], y[None, :])
@@ -107,7 +108,7 @@ class TestEvaluation:
             GaussianP(0j, -0.25, 0.5),
             initial_p_function(StateSpec("photon-added-coherent", beta=0.5)),
         ):
-            assert not is_regular(desc)
+            assert singular_part(desc)
             with pytest.raises(TypeError):
                 evaluate_p(desc, 0.0, 0.0)
 
@@ -175,6 +176,64 @@ class TestFockPopulations:
         pops = fock_populations(desc, 40)
         assert pops[0] == pytest.approx(0.0, abs=1e-12)
         assert pops.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("nbar", [0.0, 0.4, 2.0])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_the_oracle_diagonal(self, family, nbar):
+        # Every family's P_t, singular ones included: at t = 0 the coherent P
+        # is a point mass, the photon-added-coherent P a delta derivative and
+        # the squeezed-coherent P has a negative width; at n̄ = 0 the first
+        # two stay so.
+        spec = parse_state_spec({"family": family, **FAMILY_TABLE[family].example})
+        bath = BathParams(gamma=1.0, nbar=nbar)
+        cutoff = max(80, default_cutoff(initial_p_function(spec), nbar))
+        times = (0.0, 0.3, 1.0, 3.0)
+        rhos = integrate(fock_density(spec, cutoff), bath, times)
+        for t, rho in zip(times, rhos):
+            pops = fock_populations(evolve_p_closed_form(spec, bath, t), cutoff)
+            np.testing.assert_allclose(pops, np.diagonal(rho.elements).real, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_factorial_moments_match_normal_moments(self, family):
+        # sum k p_k = <n> and sum k(k - 1) p_k = <a^dag^2 a^2>, read off P_t.
+        # Each p_k carries about eps of absolute roundoff, so the sums over
+        # L levels carry about L^2 eps / 2 and L^3 eps / 3.
+        spec = parse_state_spec({"family": family, **FAMILY_TABLE[family].example})
+        levels, eps = 80, np.finfo(float).eps
+        k = np.arange(levels)
+        for t in (0.0, 0.5, 2.0):
+            desc = evolve_p_closed_form(spec, BathParams(gamma=1.0, nbar=0.4), t)
+            pops = fock_populations(desc, levels)
+            _, mean_n, second_factorial, _ = normal_moments(desc)
+            assert float(k @ pops) == pytest.approx(mean_n, rel=0, abs=levels**2 * eps / 2)
+            assert float((k * (k - 1)) @ pops) == pytest.approx(
+                second_factorial, rel=0, abs=levels**3 * eps / 3
+            )
+
+    def test_vacuum(self):
+        # A point mass at the origin goes through the transform.
+        pops = fock_populations(GaussianP(0j, 0.0, 0.0), 30)
+        np.testing.assert_allclose(pops, np.eye(30)[0], rtol=0, atol=1e-15)
+
+    def test_many_levels_run_in_blocks(self):
+        # 1,100 levels over 1,100 roots are two blocks of the phase matrix.
+        mbar = 0.8
+        pops = fock_populations(thermal_gaussian(mbar), 1100)
+        expected = (mbar / (1.0 + mbar)) ** np.arange(1100) / (1.0 + mbar)
+        np.testing.assert_allclose(pops, expected, rtol=0, atol=1e-15)
+
+    def test_refuses_a_transform_too_large_to_hold(self):
+        # At m = 30,000 the tail needs about 1.6 million roots of unity.
+        with pytest.raises(ValueError, match="roots of unity"):
+            fock_populations(thermal_gaussian(30000.0), 20)
+
+    def test_hot_thermal_tail_does_not_alias(self):
+        # The transform folds p_(k+N) onto p_k, so N must reach far past the
+        # cutoff when the occupation is large: at m̄ = 30, p_40 is still 0.009.
+        mbar = 30.0
+        pops = fock_populations(thermal_gaussian(mbar), 20)
+        expected = (mbar / (1.0 + mbar)) ** np.arange(20) / (1.0 + mbar)
+        np.testing.assert_allclose(pops, expected, rtol=1e-13)
 
 
 class TestGaussianDescriptor:
