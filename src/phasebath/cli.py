@@ -86,6 +86,8 @@ class RunConfig:
     compare_tolerance: float = COMPARE_TOLERANCE
 
     def __post_init__(self) -> None:
+        # float times write 1.0, not 1, wherever a record or the echo shows them
+        object.__setattr__(self, "times", tuple(map(float, self.times)))
         if not self.times:
             raise ValueError("times must be nonempty")
         bad = [t for t in self.times if not (math.isfinite(t) and t >= 0)]
@@ -130,10 +132,6 @@ class RunConfig:
             "oracle_cutoff": self.oracle_cutoff,
             "compare_tolerance": self.compare_tolerance,
         }
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _json_list(items: list, indent: str) -> str:
@@ -192,9 +190,7 @@ def _json_text(value) -> str:
 
 def _write_record(path: Path, record: dict, fmt: str) -> None:
     if fmt == "csv":
-        keys = list(record)
-        lines = [",".join(keys), ",".join(_fmt(record[k]) if isinstance(record[k], float) else str(record[k]) for k in keys)]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(f"{','.join(record)}\n{','.join(map(repr, record.values()))}\n")
     else:
         path.write_text(_json_text(record))
 
@@ -323,17 +319,28 @@ def state_catalog() -> list[dict]:
     ]
 
 
-def _parse_config_file(path: Path) -> dict:
-    fields: dict[str, str] = {}
+#: config keys that name a flag other than their own
+_CONFIG_ALIASES = {"family": "state", "compare_tolerance": "compare"}
+
+
+def _config_flags(path: Path, parser: argparse.ArgumentParser) -> list[str]:
+    """The ``run`` flags that a ``key=value`` config file mirrors, one
+    ``--key=value`` per line.  A key is its flag's name with ``_`` for ``-``,
+    or an alias in ``_CONFIG_ALIASES``; the bare ``compare`` is not a key."""
+    settings = vars(parser.parse_args(["run"]))
+    keys = [k for k in settings if k not in ("command", "config", "compare")] + list(_CONFIG_ALIASES)
+    tokens = []
     for raw in path.read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"config line must be key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    return fields
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in keys:
+            raise ValueError(f"unknown config key {key!r} in {path}; choose from {', '.join(keys)}")
+        tokens.append(f"--{_CONFIG_ALIASES.get(key, key).replace('_', '-')}={value}")
+    return tokens
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -350,13 +357,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--beta-im", type=float, help="imaginary part of the amplitude parameter")
     run_p.add_argument("--mbar", type=float, help="initial thermal occupation of the state")
     run_p.add_argument("--squeeze", type=float, help="quadrature variance ratio (1 = none)")
-    run_p.add_argument("--gamma", type=float, help="bath damping rate")
-    run_p.add_argument("--nbar", type=float, help="bath mean occupation")
-    run_p.add_argument("--times", help="comma-separated sample times")
-    run_p.add_argument("--grid", help="phase-space window LO:HI:POINTS (both axes)")
-    run_p.add_argument("--out", type=Path, help="output directory")
-    run_p.add_argument("--format", choices=("csv", "json"), help="data file format")
-    run_p.add_argument("--outputs", help=f"comma-separated artifacts from: {', '.join(ARTIFACTS)}")
+    run_p.add_argument("--gamma", type=float, default=1.0, help="bath damping rate")
+    run_p.add_argument("--nbar", type=float, default=0.0, help="bath mean occupation")
+    run_p.add_argument("--times", default="0,1", help="comma-separated sample times")
+    run_p.add_argument("--grid", default="-3:3:41", help="phase-space window LO:HI:POINTS (both axes)")
+    run_p.add_argument("--out", type=Path, default="phasebath-out", help="output directory")
+    run_p.add_argument("--format", choices=("csv", "json"), default="csv", help="data file format")
+    run_p.add_argument("--outputs", default="q-grid,moments",
+                       help=f"comma-separated artifacts from: {', '.join(ARTIFACTS)}")
     run_p.add_argument("--oracle-cutoff", type=int, help="basis size for the --compare oracle")
     run_p.add_argument(
         "--compare",
@@ -372,75 +380,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULTS = {
-    "gamma": 1.0,
-    "nbar": 0.0,
-    "times": "0,1",
-    "grid": "-3:3:41",
-    "out": "phasebath-out",
-    "format": "csv",
-    "outputs": "q-grid,moments",
-}
-
-
-#: run settings that a flag and a config-file key can both give
-_FLAG_KEYS = ("state", "beta_re", "beta_im", "mbar", "squeeze", "gamma", "nbar",
-              "times", "grid", "out", "format", "outputs", "oracle_cutoff")
-_CONFIG_KEYS = _FLAG_KEYS + ("family", "compare_tolerance")
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields: dict = dict(_DEFAULTS)
-    if args.config is not None:
-        from_file = _parse_config_file(args.config)
-        unknown = [key for key in from_file if key not in _CONFIG_KEYS]
-        if unknown:
-            raise ValueError(
-                f"unknown config key {unknown[0]!r} in {args.config}; "
-                f"choose from {', '.join(_CONFIG_KEYS)}"
-            )
-        fields.update(from_file)
-    for key in _FLAG_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            fields[key] = value
-    if "state" not in fields and "family" not in fields:
+    if args.state is None:
         raise ValueError("a state family is required (--state or config file)")
-
-    state_fields = {"family": fields.get("family", fields.get("state"))}
-    for key in ("beta_re", "beta_im", "mbar", "squeeze"):
-        if key in fields:
-            state_fields[key] = float(fields[key])
-    state = parse_state_spec(state_fields)
-
-    times = fields["times"]
-    if isinstance(times, str):
-        times = [float(v) for v in times.split(",") if v.strip()]
-    outputs = fields["outputs"]
-    if isinstance(outputs, str):
-        outputs = [v.strip() for v in outputs.split(",") if v.strip()]
-    compare_tol = args.compare if args.compare is not None else fields.get("compare_tolerance")
-    if compare_tol is not None:
-        compare_tol = float(compare_tol)
-        if "oracle-compare" not in outputs:
-            outputs = list(outputs) + ["oracle-compare"]
-    grid = fields["grid"]
-    oracle_cutoff = fields.get("oracle_cutoff")
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    state = parse_state_spec({**given, "family": args.state})
+    outputs = [v.strip() for v in args.outputs.split(",") if v.strip()]
+    if args.compare is not None and "oracle-compare" not in outputs:
+        outputs.append("oracle-compare")
     return RunConfig(
         state=state,
-        bath=BathParams(gamma=float(fields["gamma"]), nbar=float(fields["nbar"])),
-        times=tuple(times),
-        grid=grid if isinstance(grid, GridSpec) else GridSpec.parse(str(grid)),
+        bath=BathParams(gamma=args.gamma, nbar=args.nbar),
+        times=tuple(float(v) for v in args.times.split(",") if v.strip()),
+        grid=GridSpec.parse(args.grid),
         outputs=tuple(outputs),
-        output_dir=Path(fields["out"]),
-        format=str(fields["format"]),
-        oracle_cutoff=int(oracle_cutoff) if oracle_cutoff is not None else None,
-        compare_tolerance=compare_tol if compare_tol is not None else COMPARE_TOLERANCE,
+        output_dir=args.out,
+        format=args.format,
+        oracle_cutoff=args.oracle_cutoff,
+        compare_tolerance=COMPARE_TOLERANCE if args.compare is None else args.compare,
     )
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     if args.command == "list-states":
         catalog = state_catalog()
         if args.json:
@@ -452,6 +416,9 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  constraints: {entry['constraints']}")
         return 0
     try:
+        if args.config is not None:
+            # The file's flags go first, so every flag on the command line wins.
+            args = parser.parse_args(["run", *_config_flags(args.config, parser), *argv[1:]])
         config = _config_from_args(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,10 +74,6 @@ def thermal_populations(mbar: float, cutoff: int) -> np.ndarray:
     """Bose-Einstein number weights with mean mbar, truncated (not renormalized)."""
     if mbar < 0:
         raise ValueError("mean occupation must be nonnegative")
-    if mbar == 0.0:
-        out = np.zeros(cutoff)
-        out[0] = 1.0
-        return out
     ratio = mbar / (1.0 + mbar)
     return (1.0 / (1.0 + mbar)) * ratio ** np.arange(cutoff)
 

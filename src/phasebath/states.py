@@ -104,9 +104,10 @@ class StateSpec:
 
 
 def parse_state_spec(fields: dict) -> StateSpec:
-    """Build a StateSpec from flat key/value data (CLI and config files).
+    """Build a StateSpec from flat key/value data: the CLI's parsed run
+    settings, whether given as flags or in a config file, or a catalog example.
 
-    Recognized keys: family, beta_re, beta_im, mbar, squeeze.
+    Recognized keys: family, beta_re, beta_im, mbar, squeeze; others are ignored.
     """
     family = str(fields.get("family", "")).strip()
     beta = complex(float(fields.get("beta_re", 0.0)), float(fields.get("beta_im", 0.0)))
@@ -199,14 +200,19 @@ _TAIL_SECOND_FACTORIAL = 1e-9
 def default_cutoff(p0: GaussianP, nbar: float = 0.0) -> int:
     """Truncation heuristic for the state that ``p0`` describes: a generous
     multiple of its mean photon number plus the bath occupation ``nbar`` it
-    relaxes toward, raised until a thermal tail leaves little second
-    factorial moment beyond the basis.
+    relaxes toward, raised until a centred thermal tail of occupation m
+    leaves under 1e-9 of second factorial moment beyond the basis.
 
-    The tail's occupation m is the larger of the P width (zero for the delta
-    derivative of a photon-added coherent state) and ``nbar``: the bath takes
-    each P width w to w eta^2 + nbar (1 - eta^2), and a Gaussian P of width m
+    m is the larger of the P width (zero for the delta derivative of a
+    photon-added coherent state) and ``nbar``: the bath takes each P width w
+    to w eta^2 + nbar (1 - eta^2), and a Gaussian P of width m centred at 0
     has number-state weights falling as q^n, q = m/(1 + m).  Beyond N levels
     that tail holds sum_{n >= N} n(n-1)(1-q) q^n = q^N (N(N-1) + 2Nm + 2m^2).
+    The state's own tail is not bounded by that: against a 300-level oracle
+    diagonal (gamma = 1, t in {0, 0.3, 1, 3}, nbar in {0, 0.4}) the catalog's
+    displaced-thermal example leaves 5.2e-8 of <a^dag^2 a^2> beyond its cutoff
+    of 30 and the photon-added-thermal example 3.3e-8 beyond 41; the other
+    examples leave under 8e-10.
     """
     mean_n = normal_moments(p0)[1]
     cutoff = max(30, math.ceil(8.0 * (mean_n + nbar + 1.0)))

@@ -847,6 +847,100 @@ class TestRunConfigValidation:
             )
 
 
+#: every config key with a value, and the same settings as flags
+_ALL_KEYS = {
+    "state": "displaced-thermal", "family": "displaced-thermal", "beta_re": "0.5",
+    "beta_im": "-0.3", "mbar": "0.3", "squeeze": "2", "gamma": "0.7", "nbar": "0.2",
+    "times": "0,0.4", "grid": "-3:3:9", "format": "json", "outputs": "w-grid,moments,mandel-q",
+    "oracle_cutoff": "40", "compare_tolerance": "1e-4",
+}
+_ALL_FLAGS = [
+    "--state", "displaced-thermal", "--beta-re", "0.5", "--beta-im=-0.3", "--mbar", "0.3",
+    "--squeeze", "2", "--gamma", "0.7", "--nbar", "0.2", "--times", "0,0.4", "--grid=-3:3:9",
+    "--format", "json", "--outputs", "w-grid,moments,mandel-q", "--oracle-cutoff", "40",
+    "--compare", "1e-4",
+]
+
+
+def _data_files(out: Path) -> dict:
+    """Each data file's bytes, and the manifest's without its wall time."""
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    manifest = files.pop("manifest.json").decode().splitlines()
+    files["manifest.json"] = [line for line in manifest if "wall_time_seconds" not in line]
+    return files
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("key", ["family", "state"])
+    def test_flags_beat_the_file(self, tmp_path, key):
+        # A file's family= used to beat --state.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=thermal\nmbar=1\nbeta_re=0.5\ntimes=0.5\noutputs=moments\n")
+        out = tmp_path / "out"
+        args = ["run", "--config", str(cfg), "--state", "coherent", "--beta-re", "2", "--out", str(out)]
+        assert main(args) == 0
+        state = json.loads((out / "manifest.json").read_text())["config"]["state"]
+        assert state == {"family": "coherent", "beta_re": 2.0, "beta_im": 0.0, "mbar": 0.0, "squeeze": 1.0}
+
+    def test_accepted_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("compare=1e-4\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        keys = capsys.readouterr().err.split("choose from ")[1].strip().split(", ")
+        assert sorted(keys) == sorted([*_ALL_KEYS, "out"])
+
+    def test_every_key_writes_what_its_flag_writes(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        lines = [f"{key}={value}" for key, value in _ALL_KEYS.items()]
+        cfg.write_text("\n".join(lines + [f"out={tmp_path / 'file'}"]) + "\n")
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert main(["run", *_ALL_FLAGS, "--out", str(tmp_path / "flags")]) == 0
+        from_file = _data_files(tmp_path / "file")
+        assert len(from_file) == 1 + 2 * 4
+        assert from_file == _data_files(tmp_path / "flags")
+
+    def test_module_entry_point_reads_the_file(self, tmp_path):
+        # `python -m phasebath` calls main() with argv=None.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"family=thermal\nmbar=1\ntimes=0,0.5\noutputs=moments\nout={tmp_path / 'out'}\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "phasebath", "run", "--config", str(cfg), "--nbar", "0.5"],
+            env=env, capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+        assert config["state"]["family"] == "thermal" and config["nbar"] == 0.5
+        assert config["times"] == [0.0, 0.5]
+
+    def test_bad_value_fails_as_its_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("state=thermal\nmbar=1\ngamma=abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "argument --gamma: invalid float value: 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestIntegerTimes:
+    def test_write_the_same_files_as_float_times(self, tmp_path):
+        # Integer times used to write 0 and 1 where the CLI writes 0.0 and 1.0.
+        for fmt in ("csv", "json"):
+            for label, times in (("int", (0, 1)), ("float", (0.0, 1.0))):
+                config = RunConfig(
+                    state=StateSpec("coherent", beta=1.0),
+                    bath=BathParams(gamma=1.0, nbar=0.2),
+                    times=times,
+                    grid=GridSpec(),
+                    outputs=("moments", "mandel-q", "variances", "oracle-compare"),
+                    output_dir=tmp_path / fmt / label,
+                    format=fmt,
+                )
+                assert cli.run(config) == 0
+            assert _data_files(tmp_path / fmt / "int") == _data_files(tmp_path / fmt / "float")
+
+
 class TestGridWriter:
     @pytest.mark.parametrize("meta", [{}, {"quantity": "W", "note": "a, b", "grid": np.zeros(2)}])
     def test_bytes_match_definitions(self, tmp_path, meta):

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from phasebath.fock import FockDensityMatrix, annihilation, displacement_matrix, squeeze_matrix
+from phasebath.fock import (
+    FockDensityMatrix,
+    annihilation,
+    displacement_matrix,
+    squeeze_matrix,
+    thermal_populations,
+)
 
 
 @pytest.mark.parametrize("beta", [0.3, 1.0 + 0.5j, -2.0j, 3.0 - 2.0j, 4.0 + 1.0j, -4.0 - 1.0j])
@@ -37,3 +43,9 @@ def test_density_matrix_rejects_non_finite_elements():
     # NaN fails every comparison in the Hermiticity, trace and eigenvalue checks.
     with pytest.raises(ValueError, match="finite"):
         FockDensityMatrix(3, np.diag([0.5, 0.5, np.nan]), 0.0)
+
+
+def test_zero_occupation_is_the_vacuum():
+    expected = np.zeros(6)
+    expected[0] = 1.0
+    assert np.array_equal(thermal_populations(0.0, 6), expected)
