@@ -38,12 +38,20 @@ from .states import (
     parse_state_spec,
 )
 
-ARTIFACTS = ("p-grid", "q-grid", "w-grid", "moments", "mandel-q", "variances", "oracle-compare")
-
 #: each grid artifact's quantity and the width of the kernel that takes P to
 #: it: the s-ordered distribution is P convolved at width (1 - s)/2 for
-#: s = 1, 0, -1 (Cahill & Glauber, Phys. Rev. 177, 1882 (1969))
-_GRID_KERNELS = {"p-grid": ("P", 0.0), "w-grid": ("W", 0.5), "q-grid": ("Q", 1.0)}
+#: s = 1, -1, 0 (Cahill & Glauber, Phys. Rev. 177, 1882 (1969))
+_GRID_KERNELS = {"p-grid": ("P", 0.0), "q-grid": ("Q", 1.0), "w-grid": ("W", 0.5)}
+
+#: each record artifact's columns after ``time``, read off the MomentSet of P_t
+_RECORDS = {
+    "moments": lambda m: {"mean_a_re": m.mean_a.real, "mean_a_im": m.mean_a.imag, "mean_n": m.mean_n,
+                          "second_factorial": m.second_factorial, "var_x": m.var_x, "var_y": m.var_y},
+    "mandel-q": lambda m: {"mandel_q": m.mandel_q()},
+    "variances": lambda m: {"var_x": m.var_x, "var_y": m.var_y, "product": m.var_x * m.var_y},
+}
+
+ARTIFACTS = (*_GRID_KERNELS, *_RECORDS, "oracle-compare")
 
 #: largest oracle deviation that --compare accepts when no TOL is given
 COMPARE_TOLERANCE = 1e-5
@@ -65,12 +73,23 @@ class GridSpec:
     def axis(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.points)
 
-    @classmethod
-    def parse(cls, text: str) -> "GridSpec":
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid must be LO:HI:POINTS, got {text!r}")
-        return cls(float(parts[0]), float(parts[1]), int(parts[2]))
+
+def _grid_arg(text: str) -> tuple[float, float, int]:
+    """The ``--grid`` value LO:HI:POINTS; ``GridSpec`` checks the window."""
+    try:
+        lo, hi, points = text.split(":")
+        return float(lo), float(hi), int(points)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"LO:HI:POINTS needs two numbers and an integer, got {text!r}") from None
+
+
+def _times_arg(text: str) -> tuple[float, ...]:
+    """The ``--times`` value: comma-separated numbers; empty items are skipped."""
+    try:
+        return tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -195,18 +214,6 @@ def _write_record(path: Path, record: dict, fmt: str) -> None:
         path.write_text(_json_text(record))
 
 
-def _moments_record(t: float, m) -> dict:
-    return {
-        "time": t,
-        "mean_a_re": float(m.mean_a.real),
-        "mean_a_im": float(m.mean_a.imag),
-        "mean_n": float(m.mean_n),
-        "second_factorial": float(m.second_factorial),
-        "var_x": float(m.var_x),
-        "var_y": float(m.var_y),
-    }
-
-
 def run(config: RunConfig) -> int:
     """Execute one run; returns the process exit code.
 
@@ -218,19 +225,12 @@ def run(config: RunConfig) -> int:
     axis = config.grid.axis()
     p0 = initial_p_function(config.state)
 
-    needs_rho = "oracle-compare" in config.outputs
-    rhos = None
     trace_deficits: list[float] = []
-    if needs_rho:
-        cutoff = (
-            config.oracle_cutoff
-            if config.oracle_cutoff is not None
-            else default_cutoff(p0, config.bath.nbar)
-        )
+    if "oracle-compare" in config.outputs:
+        cutoff = config.oracle_cutoff or default_cutoff(p0, config.bath.nbar)  # RunConfig rejects 0
         rho0 = fock_density(config.state, cutoff)
         rhos = integrate(rho0, config.bath, config.times)
-        evolved = [r for t, r in zip(config.times, rhos) if t > 0]
-        trace_deficits = [rho0.trace_deficit] + [r.trace_deficit for r in evolved]
+        trace_deficits = [rho0.trace_deficit] + [r.trace_deficit for t, r in zip(config.times, rhos) if t > 0]
 
     pending: list[tuple] = []  # (file name, writer, contents)
     deviations: list[float] = []
@@ -238,7 +238,6 @@ def run(config: RunConfig) -> int:
         form = p0.convolved(*scale_bath(config.bath, t))
         mt = MomentSet.from_p(form)
         for artifact in config.outputs:
-            name = f"{artifact}-{idx:03d}.{ext}"
             if artifact in _GRID_KERNELS:
                 quantity, width = _GRID_KERNELS[artifact]
                 # W and Q are always regular: every P width exceeds -1/2.
@@ -250,44 +249,32 @@ def run(config: RunConfig) -> int:
                         f"function ({singular}); p-grid is not representable on a sample grid"
                     )
                 values = evaluate_p(shown, axis[:, None], axis[None, :])
-                grid = PhaseSpaceGrid(axis, axis, values, {"quantity": quantity})
-                pending.append((name, _write_grid, grid))
-                continue
-            if artifact == "moments":
-                record = _moments_record(t, mt)
-            elif artifact == "mandel-q":
-                record = {"time": t, "mandel_q": float(mt.mandel_q())}
-            elif artifact == "variances":
-                record = {"time": t, "var_x": float(mt.var_x), "var_y": float(mt.var_y),
-                          "product": float(mt.var_x * mt.var_y)}
+                write, contents = _write_grid, PhaseSpaceGrid(axis, axis, values, {"quantity": quantity})
+            elif artifact in _RECORDS:
+                write, contents = _write_record, {"time": t, **_RECORDS[artifact](mt)}
             else:  # oracle-compare
                 mo = moments_from_rho(rhos[idx])
-                populations = np.diagonal(rhos[idx].elements).real
-                record = {
-                    "time": t,
-                    "dev_mean_a": abs(mt.mean_a - mo.mean_a),
-                    "dev_mean_n": abs(mt.mean_n - mo.mean_n),
-                    "dev_second_factorial": abs(mt.second_factorial - mo.second_factorial),
-                    "dev_var_x": abs(mt.var_x - mo.var_x),
-                    "dev_var_y": abs(mt.var_y - mo.var_y),
-                    "dev_a_squared": abs(mt.a_squared - mo.a_squared),
-                    "dev_populations": float(np.max(np.abs(fock_populations(form, cutoff) - populations))),
+                devs = {
+                    f"dev_{f.name}": abs(getattr(mt, f.name) - getattr(mo, f.name))
+                    for f in dataclasses.fields(MomentSet)
                 }
-                deviations.extend(v for k, v in record.items() if k != "time")
-            pending.append((name, _write_record, record))
+                populations = np.diagonal(rhos[idx].elements).real
+                devs["dev_populations"] = float(np.max(np.abs(fock_populations(form, cutoff) - populations)))
+                deviations.extend(devs.values())
+                write, contents = _write_record, {"time": t, **devs}
+            pending.append((f"{artifact}-{idx:03d}.{ext}", write, contents))
 
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, write, contents in pending:
         write(out_dir / name, contents, ext)
-    files = [name for name, _, _ in pending]
 
     # np.max propagates NaN, where max() would drop it
     worst_dev = float(np.max(deviations)) if deviations else 0.0
     manifest = {
         "config": config.echo(),
         "version": __version__,
-        "files": files,
+        "files": [name for name, _, _ in pending],
         "trace_deficits": trace_deficits,
         "oracle_compare": {"worst_deviation": worst_dev, "tolerance": config.compare_tolerance}
         if deviations
@@ -359,8 +346,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--squeeze", type=float, help="quadrature variance ratio (1 = none)")
     run_p.add_argument("--gamma", type=float, default=1.0, help="bath damping rate")
     run_p.add_argument("--nbar", type=float, default=0.0, help="bath mean occupation")
-    run_p.add_argument("--times", default="0,1", help="comma-separated sample times")
-    run_p.add_argument("--grid", default="-3:3:41", help="phase-space window LO:HI:POINTS (both axes)")
+    run_p.add_argument("--times", type=_times_arg, default="0,1", help="comma-separated sample times")
+    run_p.add_argument("--grid", type=_grid_arg, default="-3:3:41",
+                       help="phase-space window LO:HI:POINTS (both axes)")
     run_p.add_argument("--out", type=Path, default="phasebath-out", help="output directory")
     run_p.add_argument("--format", choices=("csv", "json"), default="csv", help="data file format")
     run_p.add_argument("--outputs", default="q-grid,moments",
@@ -391,8 +379,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         state=state,
         bath=BathParams(gamma=args.gamma, nbar=args.nbar),
-        times=tuple(float(v) for v in args.times.split(",") if v.strip()),
-        grid=GridSpec.parse(args.grid),
+        times=args.times,
+        grid=GridSpec(*args.grid),
         outputs=tuple(outputs),
         output_dir=args.out,
         format=args.format,

@@ -137,10 +137,12 @@ class MomentSet:
 
     def __post_init__(self):
         object.__setattr__(self, "mean_a", check_amplitude(self.mean_a))
-        # NaN passes every comparison below, and inf is no moment.
-        fields = (self.mean_n, self.second_factorial, self.var_x, self.var_y)
-        if not all(map(math.isfinite, fields)):
-            raise ValueError("moments must be finite")
+        # Python floats, so no numpy scalar reaches a record's repr.  NaN
+        # passes every comparison below, and inf is no moment.
+        for name in ("mean_n", "second_factorial", "var_x", "var_y"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("moments must be finite")
         object.__setattr__(self, "a_squared", check_amplitude(self.a_squared))
         slack = 1e-9
         if self.mean_n < -slack or self.second_factorial < -slack:
@@ -231,6 +233,10 @@ def fock_density(spec: StateSpec, cutoff: int) -> FockDensityMatrix:
     An added photon gives a^dag rho a / (|beta|^2 + mbar + 1): the exact
     <a a^dag> at s = 1, as in every such row, and not the truncated trace,
     so that truncation shows as a trace deficit.
+
+    The exact coherent vector is why this is not one D S rho_th S^dag D^dag:
+    the truncated D and S are unitary on the kept basis, so a coherent state
+    too large for the cutoff would keep unit trace and pass the guard below.
     """
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")

@@ -30,6 +30,16 @@ from phasebath.states import FAMILY_TABLE, parse_state_spec
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "data" / "readme-example"
 COMPARE_GOLDEN = GOLDEN.parent / "compare-example"
+RECORDS_GOLDEN = GOLDEN.parent / "records-example"
+
+
+def _assert_golden(out: Path, golden: Path, count: int) -> None:
+    """``out`` holds the fixture's ``count`` data files, byte for byte, and a manifest."""
+    names = sorted(p.name for p in golden.iterdir())
+    assert len(names) == count
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ["manifest.json"])
+    for name in names:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def read_grid_csv(path):
@@ -39,21 +49,21 @@ def read_grid_csv(path):
 
 class TestGridSpec:
     def test_parse(self):
-        g = GridSpec.parse("-3:3:41")
+        g = GridSpec(*cli._grid_arg("-3:3:41"))
         assert (g.lo, g.hi, g.points) == (-3.0, 3.0, 41)
 
     def test_rejects_low_resolution(self):
         with pytest.raises(ValueError):
-            GridSpec.parse("-3:3:7")
+            GridSpec(*cli._grid_arg("-3:3:7"))
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
-            GridSpec.parse("3:-3:41")
+            GridSpec(*cli._grid_arg("3:-3:41"))
 
     @pytest.mark.parametrize("text", ["-3:inf:41", "-inf:3:41", "nan:3:41", "-3:nan:41", "-1e308:1e308:41"])
     def test_rejects_non_finite_range(self, text):
         with pytest.raises(ValueError, match="finite"):
-            GridSpec.parse(text)
+            GridSpec(*cli._grid_arg(text))
 
 
 class TestRunContract:
@@ -660,6 +670,17 @@ class TestRunContract:
         assert main(["run", "--state", "nope", "--times", "0"]) == 2
         assert main(["run", "--state", "thermal", "--times", "1,0.5"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--times", "0,x"), ("--grid", "-3:y:41"), ("--grid", "-3:3:4.5")]
+    )
+    def test_malformed_number_names_its_flag(self, tmp_path, capsys, flag, value):
+        # These printed only "could not convert string to float: 'x'".
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--state", "thermal", "--mbar", "1", f"{flag}={value}", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 _ROUTES_SCRIPT = """
 import json, sys
@@ -922,6 +943,15 @@ class TestConfigFile:
         assert "argument --gamma: invalid float value: 'abc'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_malformed_number_fails_as_its_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("state=thermal\nmbar=1\ntimes=0,x\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "argument --times: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestIntegerTimes:
     def test_write_the_same_files_as_float_times(self, tmp_path):
@@ -939,6 +969,27 @@ class TestIntegerTimes:
                 )
                 assert cli.run(config) == 0
             assert _data_files(tmp_path / fmt / "int") == _data_files(tmp_path / fmt / "float")
+
+
+class TestRecords:
+    def test_artifact_order(self):
+        assert cli.ARTIFACTS == (
+            "p-grid", "q-grid", "w-grid", "moments", "mandel-q", "variances", "oracle-compare"
+        )
+
+    def test_numpy_moments_write_the_same_rows(self, tmp_path):
+        values = (0.3 + 0.1j, 0.7, 0.5, 0.4, 0.6, 0.05 - 0.02j)
+        python = states.MomentSet(*values)
+        numpy = states.MomentSet(np.complex128(values[0]), *map(np.float64, values[1:5]), np.complex128(values[5]))
+        for name in ("mean_n", "second_factorial", "var_x", "var_y"):
+            assert type(getattr(numpy, name)) is float, name
+        for artifact, columns in cli._RECORDS.items():
+            for fmt in ("csv", "json"):
+                for label, moments in (("python", python), ("numpy", numpy)):
+                    cli._write_record(tmp_path / f"{label}.{fmt}", {"time": 0.5, **columns(moments)}, fmt)
+                written = (tmp_path / f"python.{fmt}").read_bytes()
+                assert (tmp_path / f"numpy.{fmt}").read_bytes() == written, (artifact, fmt)
+                assert b"np." not in written
 
 
 class TestGridWriter:
@@ -983,11 +1034,22 @@ class TestGridWriter:
             ]
         )
         assert code == 0
-        golden = sorted(p.name for p in (GOLDEN / fmt).iterdir())
-        assert len(golden) == 15
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(golden + ["manifest.json"])
-        for name in golden:
-            assert (tmp_path / name).read_bytes() == (GOLDEN / fmt / name).read_bytes(), name
+        _assert_golden(tmp_path, GOLDEN / fmt, 15)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_records_example_files_are_unchanged(self, tmp_path, fmt):
+        # tests/data/records-example holds this run's data files: Q grids and
+        # the Mandel Q and variance records of a displaced photon-added state.
+        code = main(
+            [
+                "run", "--state", "photon-added-coherent", "--beta-re", "1", "--beta-im", "0.5",
+                "--gamma", "1", "--nbar", "0.4", "--times", "0,0.5",
+                "--outputs", "q-grid,mandel-q,variances", "--grid=-3:3:9",
+                "--format", fmt, "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        _assert_golden(tmp_path, RECORDS_GOLDEN / fmt, 6)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_compare_example_files_are_unchanged(self, tmp_path, fmt):
@@ -1004,11 +1066,7 @@ class TestGridWriter:
             ]
         )
         assert code == 0
-        golden = sorted(p.name for p in (COMPARE_GOLDEN / fmt).iterdir())
-        assert len(golden) == 9
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(golden + ["manifest.json"])
-        for name in golden:
-            assert (tmp_path / name).read_bytes() == (COMPARE_GOLDEN / fmt / name).read_bytes(), name
+        _assert_golden(tmp_path, COMPARE_GOLDEN / fmt, 9)
 
     def test_compare_example_w_grids_match_closed_form(self):
         # The fixture's W, read from the files, against the closed-form W of
