@@ -16,7 +16,6 @@ from .descriptors import (
     GaussianP,
     evaluate_p,
     fock_populations,
-    integral_p,
     rescale_zero_temperature,
 )
 from .evolution import (

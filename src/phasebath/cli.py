@@ -215,10 +215,10 @@ def _write_record(path: Path, record: dict, fmt: str) -> None:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one run; returns the process exit code.
-
-    Every file's contents are computed before the first is written, so a run
-    that fails writes nothing.
+    """Execute one run and return 0, or 1 when ``--compare`` found a deviation
+    above its tolerance (the files and manifest are written either way); every
+    other outcome raises.  Every file's contents are computed before the first
+    is written, so a run that fails to compute them writes nothing.
     """
     started = _time.perf_counter()
     ext = config.format
@@ -317,7 +317,7 @@ def _config_flags(path: Path, parser: argparse.ArgumentParser) -> list[str]:
     settings = vars(parser.parse_args(["run"]))
     keys = [k for k in settings if k not in ("command", "config", "compare")] + list(_CONFIG_ALIASES)
     tokens = []
-    for raw in path.read_text().splitlines():
+    for raw in path.read_text(encoding="utf-8-sig").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -407,18 +407,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             # The file's flags go first, so every flag on the command line wins.
             args = parser.parse_args(["run", *_config_flags(args.config, parser), *argv[1:]])
-        config = _config_from_args(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(config)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError, OverflowError) as exc:
-        # RuntimeError covers the numerical guards: oracle trace drift and
-        # non-converged quadrature; OverflowError a state too large for floats.
+        return run(_config_from_args(args))
+    except (OSError, ValueError, RuntimeError, OverflowError, MemoryError) as exc:
+        # The run cannot be carried out: a bad setting, an unreadable config or
+        # unwritable output, a numerical guard (oracle trace drift), a value too
+        # large for floats, or a basis or grid too large to hold.  Any other
+        # exception is a bug and keeps its traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,7 +38,6 @@ from .core import check_amplitude
 __all__ = [
     "GaussianP",
     "evaluate_p",
-    "integral_p",
     "normal_moments",
     "singular_part",
     "rescale_zero_temperature",
@@ -140,11 +139,6 @@ def evaluate_p(desc: GaussianP, x, y) -> np.ndarray:
     if singular:
         raise TypeError(f"descriptor with {singular} is singular; cannot evaluate pointwise")
     return _hermite_gaussian(desc.center, desc.width_x, desc.width_y, desc.coeffs, x, y)
-
-
-def integral_p(desc: GaussianP) -> float:
-    """Total mass of the descriptor over the whole phase plane: its coeffs[0, 0]."""
-    return float(desc.coeffs[0, 0])
 
 
 def normal_moments(desc: GaussianP) -> tuple[complex, float, float, complex]:

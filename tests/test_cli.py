@@ -337,6 +337,34 @@ class TestRunContract:
         assert manifest["trace_deficits"] == [] and manifest["oracle_compare"] is None
         assert len(list((tmp_path / "out").glob("w-grid-*.csv"))) == 2
 
+    @pytest.mark.parametrize("name", ["fock_density", "evaluate_p"])
+    def test_request_too_large_to_hold_is_an_error(self, tmp_path, capsys, monkeypatch, name):
+        # A basis or grid that numpy cannot allocate is a refused run, not a
+        # failed comparison (exit 1).  Patched, not allocated: whether a huge
+        # array fails at once depends on the host's overcommit setting.
+        message = "Unable to allocate 298. GiB for an array with shape (200000, 200000)"
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--state", "thermal", "--mbar", "1", "--times", "0,1",
+             "--outputs", "q-grid,moments", "--compare", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_unwritable_output_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("a file where the output directory should go\n")
+        assert main(["run", "--state", "thermal", "--mbar", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.is_file()
+
     def test_photon_added_coherent_w_is_negative(self, tmp_path):
         # W of a^dagger|beta> / sqrt(1 + |beta|^2) is
         # -2 (1 - |2 alpha - beta|^2) e^{-2|alpha - beta|^2} / (pi (1 + |beta|^2)),
@@ -933,6 +961,20 @@ class TestConfigFile:
         config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
         assert config["state"]["family"] == "thermal" and config["nbar"] == 0.5
         assert config["times"] == [0.0, 0.5]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_byte_order_mark_is_allowed(self, tmp_path, newline):
+        # Editors may save UTF-8 with a byte-order mark; it is not part of the
+        # first key.
+        text = newline.join(["family=thermal", "mbar=1", "nbar=0.4", "times=0,0.5",
+                             "outputs=q-grid,moments", "grid=-3:3:9", ""])
+        for name, data in (("plain", text.replace(newline, "\n").encode()),
+                           ("bom", b"\xef\xbb\xbf" + text.encode())):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(data)
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        assert len(_data_files(tmp_path / "bom")) == 1 + 2 * 2
+        assert _data_files(tmp_path / "bom") == _data_files(tmp_path / "plain")
 
     def test_bad_value_fails_as_its_flag(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

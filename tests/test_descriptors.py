@@ -12,7 +12,6 @@ from phasebath import (
     evolve_p_closed_form,
     fock_populations,
     initial_p_function,
-    integral_p,
     rescale_zero_temperature,
     scale_bath,
 )
@@ -129,8 +128,8 @@ class TestNormalization:
                 GaussianP(center=0j, width_x=1.0, width_y=1.0, coeffs=bad)
 
     def test_unit_mass_kinds(self):
-        assert integral_p(GaussianP(2.0 + 1.0j, 0.0, 0.0)) == 1.0
-        assert integral_p(thermal_gaussian(0.7)) == pytest.approx(1.0)
+        assert GaussianP(2.0 + 1.0j, 0.0, 0.0).coeffs[0, 0] == 1.0
+        assert thermal_gaussian(0.7).coeffs[0, 0] == pytest.approx(1.0)
 
 
 class TestZeroTemperatureRescaling:
@@ -143,7 +142,7 @@ class TestZeroTemperatureRescaling:
         out = rescale_zero_temperature(thermal_gaussian(1.6), 0.5)
         assert isinstance(out, GaussianP)
         assert out.width_x == out.width_y == pytest.approx(0.4)
-        assert integral_p(out) == pytest.approx(1.0)
+        assert out.coeffs[0, 0] == pytest.approx(1.0)
 
     def test_populations_follow_undamped_kernel(self):
         # Under pure decay the k-quantum weight of the rescaled distribution
