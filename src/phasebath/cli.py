@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -26,7 +27,6 @@ from . import __version__
 from .core import BathParams, scale_bath
 from .descriptors import evaluate_p, fock_populations, singular_part
 from .lindblad import integrate, moments_from_rho
-from .quasiprob import PhaseSpaceGrid
 from .states import (
     FAMILIES,
     FAMILY_TABLE,
@@ -153,42 +153,51 @@ class RunConfig:
         }
 
 
-def _json_list(items: list, indent: str) -> str:
-    """A flat list of finite floats, laid out as ``json.dumps(indent=2)`` lays
-    out a list whose items sit at ``indent``.
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """Each double's shortest round-trip ``repr``, as an object array of the
+    same shape, with one ``repr`` per distinct bit pattern: -0.0 and 0.0 stay
+    apart, and the points that a centred state's symmetry maps onto each other
+    share one text."""
+    keys, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
+    return texts[inverse].reshape(values.shape)
 
-    The C encoder formats the numbers, and no finite float's text holds ", ".
+
+def _json_list(texts: list[str], indent: str) -> str:
+    """Number texts laid out as ``json.dumps(indent=2)`` lays out a list whose
+    items sit at ``indent``; for a finite float, ``json`` writes its ``repr``."""
+    return f"[\n{indent}" + f",\n{indent}".join(texts) + f"\n{indent[:-2]}]"
+
+
+def _write_grid(path: Path, grid: tuple[np.ndarray, np.ndarray, np.ndarray, dict], fmt: str) -> None:
+    """Write ``grid = (x_axis, y_axis, values, meta)``: float arrays with
+    ``values[i, j]`` at (x_axis[i], y_axis[j]), which ``run`` has checked are
+    finite before the first file is written, and a dict.
+
+    Every number is written as its shortest round-trip ``repr``, which is
+    computed once per distinct double and is most of the cost; the files are
+    joins of those texts, the same bytes as one ``repr`` per point.  CSV has the header ``re_alpha,im_alpha,value`` and
+    one ``x,y,value`` line per point, row-major (x outer).  JSON is byte for
+    byte ``json.dumps({"meta", "values", "x_axis", "y_axis"}, indent=2,
+    sort_keys=True)``; array entries of ``meta`` are left out.
     """
-    body = json.dumps(items)[1:-1].replace(", ", ",\n" + indent)
-    return f"[\n{indent}{body}\n{indent[:-2]}]"
-
-
-def _write_grid(path: Path, grid: PhaseSpaceGrid, fmt: str) -> None:
-    """Write a grid with every number in its shortest round-trip ``repr``,
-    each formatted once.
-
-    CSV has the header ``re_alpha,im_alpha,value`` and one ``x,y,value`` line
-    per point, row-major (x outer).  JSON is byte for byte
-    ``json.dumps({"meta", "values", "x_axis", "y_axis"}, indent=2,
-    sort_keys=True)`` with ``values[i][j]`` at (x_axis[i], y_axis[j]); array
-    entries of ``meta`` are left out.
-    """
-    rows = grid.values.tolist()
+    x_axis, y_axis, values, meta = grid
+    texts = _reprs(values)
     if fmt == "csv":
-        ys = [f"{y!r}," for y in grid.y_axis.tolist()]
-        lines = ["re_alpha,im_alpha,value"]
-        for x, row in zip(grid.x_axis.tolist(), rows):
-            xr = f"{x!r},"
-            lines.extend([f"{xr}{yr}{v!r}" for yr, v in zip(ys, row)])
-        path.write_text("\n".join(lines) + "\n")
+        cells = np.empty((*values.shape, 4), dtype=object)
+        cells[..., 0] = _reprs(x_axis)[:, None] + ","
+        cells[..., 1] = _reprs(y_axis) + ","
+        cells[..., 2] = texts
+        cells[..., 3] = "\n"
+        path.write_text("re_alpha,im_alpha,value\n" + "".join(cells.ravel().tolist()))
     else:
-        meta = {k: v for k, v in grid.meta.items() if not isinstance(v, np.ndarray)}
+        meta = {k: v for k, v in meta.items() if not isinstance(v, np.ndarray)}
         meta_text = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
-        values = ",\n    ".join(_json_list(row, "      ") for row in rows)
+        rows = ",\n    ".join(_json_list(row, "      ") for row in texts.tolist())
         path.write_text(
-            f'{{\n  "meta": {meta_text},\n  "values": [\n    {values}\n  ],\n'
-            f'  "x_axis": {_json_list(grid.x_axis.tolist(), "    ")},\n'
-            f'  "y_axis": {_json_list(grid.y_axis.tolist(), "    ")}\n}}\n'
+            f'{{\n  "meta": {meta_text},\n  "values": [\n    {rows}\n  ],\n'
+            f'  "x_axis": {_json_list(_reprs(x_axis).tolist(), "    ")},\n'
+            f'  "y_axis": {_json_list(_reprs(y_axis).tolist(), "    ")}\n}}\n'
         )
 
 
@@ -249,7 +258,9 @@ def run(config: RunConfig) -> int:
                         f"function ({singular}); p-grid is not representable on a sample grid"
                     )
                 values = evaluate_p(shown, axis[:, None], axis[None, :])
-                write, contents = _write_grid, PhaseSpaceGrid(axis, axis, values, {"quantity": quantity})
+                if not np.isfinite(values).all():
+                    raise ValueError(f"{artifact} at t={t} has a non-finite value")
+                write, contents = _write_grid, (axis, axis, values, {"quantity": quantity})
             elif artifact in _RECORDS:
                 write, contents = _write_record, {"time": t, **_RECORDS[artifact](mt)}
             else:  # oracle-compare
@@ -330,6 +341,9 @@ def _config_flags(path: Path, parser: argparse.ArgumentParser) -> list[str]:
     return tokens
 
 
+# One parser per process: building it costs more than a parse, and parsing
+# leaves it unchanged, so every call may share it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phasebath",

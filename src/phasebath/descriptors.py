@@ -112,6 +112,17 @@ def singular_part(desc: GaussianP) -> str | None:
     return None
 
 
+def _hermval(x, c):
+    """sum_k c[k] H_k(x), H_k the physicists' Hermite polynomial, with x
+    broadcast against each c[k]: Clenshaw's recurrence in the operations and
+    order of numpy's ``hermval(x, c, tensor=False)``, so the bits are equal."""
+    x2 = x * 2
+    c0, c1 = (c[0], 0) if len(c) == 1 else (c[-2], c[-1])
+    for k in range(len(c) - 3, -1, -1):
+        c0, c1 = c[k] - c1 * (2 * (k + 1)), c0 + c1 * x2
+    return c0 + c1 * x2
+
+
 def _hermite_gaussian(center: complex, width_x, width_y, coeffs: np.ndarray, x, y) -> np.ndarray:
     """sum_ij coeffs[i, j] d_u^i d_v^j [G_wx(u) G_wy(v)] at alpha = x + iy.
 
@@ -126,8 +137,7 @@ def _hermite_gaussian(center: complex, width_x, width_y, coeffs: np.ndarray, x, 
     # Coefficient axes lead, one trailing axis per axis of the u points.
     i, j = np.indices(coeffs.shape).reshape(2, *coeffs.shape, *(1,) * scaled_u.ndim)
     scaled = coeffs.reshape(i.shape) * (-1.0 / root_x) ** i * (-1.0 / root_y) ** j
-    hermval = np.polynomial.hermite.hermval
-    series = hermval(v / root_y, hermval(scaled_u, scaled, tensor=False), tensor=False)
+    series = _hermval(v / root_y, _hermval(scaled_u, scaled))
     # Written so that equal widths give exp(-(u^2 + v^2)/w) / (pi w) exactly.
     gaussian = np.exp(-(u * u + v * v * (width_x / width_y)) / width_x)
     return series * gaussian * (1.0 / (math.pi * np.sqrt(width_x * width_y)))

@@ -694,6 +694,52 @@ class TestRunContract:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_is_an_error(self, tmp_path, capsys, monkeypatch, bad):
+        # The run checks each grid before the first file is written.
+        calls = []
+
+        def spoiled(desc, x, y):
+            values = evaluate_p(desc, x, y)
+            calls.append(1)
+            if len(calls) == 2:
+                values[3, 5] = bad
+            return values
+
+        monkeypatch.setattr(cli, "evaluate_p", spoiled)
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--state", "thermal", "--mbar", "1", "--times", "0,1",
+             "--outputs", "q-grid,moments", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: q-grid at t=1.0 has a non-finite value\n"
+        assert not out.exists()
+
+    def test_runs_in_one_process_share_nothing(self, tmp_path):
+        # main builds its parser once per process.  A run after a --compare
+        # run, a --config run and a command line that argparse rejects reads
+        # only its own arguments, as a freshly built parser reads them.
+        assert cli._build_parser() is cli._build_parser()
+        base = ["run", "--state", "thermal", "--mbar", "1", "--times", "0,0.5"]
+        config = tmp_path / "run.cfg"
+        config.write_text("family=displaced-thermal\nbeta_re=1\nmbar=0.5\noutputs=p-grid\nformat=json\n")
+        assert main([*base, "--compare", "--out", str(tmp_path / "a")]) == 0
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
+        with pytest.raises(SystemExit):
+            main([*base, "--compare", "x"])
+        for argv in ([*base, "--out", str(tmp_path / "c")],
+                     ["run", "--config", str(config), "--mbar", "2", "--out", str(tmp_path / "d")]):
+            assert main(argv) == 0
+            fresh = cli._build_parser.__wrapped__()
+            args = fresh.parse_args(argv)
+            if args.config is not None:
+                args = fresh.parse_args(["run", *cli._config_flags(args.config, fresh), *argv[1:]])
+            manifest = json.loads((args.out / "manifest.json").read_text())
+            assert manifest["config"] == cli._config_from_args(args).echo()
+        assert manifest["config"]["state"]["mbar"] == 2.0 and manifest["config"]["outputs"] == ["p-grid"]
+        assert json.loads((tmp_path / "c" / "manifest.json").read_text())["oracle_compare"] is None
+
     def test_invalid_flags_are_usage_errors(self, tmp_path, capsys):
         assert main(["run", "--state", "nope", "--times", "0"]) == 2
         assert main(["run", "--state", "thermal", "--times", "1,0.5"]) == 2
@@ -739,10 +785,11 @@ for name, entry in FAMILY_TABLE.items():
 loaded = scipy_modules()
 numpy_ma = "numpy.ma" in sys.modules
 numpy_fft = "numpy.fft" in sys.modules
+numpy_polynomial = "numpy.polynomial" in sys.modules
 import scipy.linalg  # the detector must see a scipy import
 
 print(json.dumps({"codes": codes, "loaded": loaded, "numpy_ma": numpy_ma, "numpy_fft": numpy_fft,
-                  "control": scipy_modules()}))
+                  "numpy_polynomial": numpy_polynomial, "control": scipy_modules()}))
 """
 
 
@@ -780,6 +827,12 @@ class TestImportSplit:
         # The population transform is a small matrix product; numpy.fft
         # would add to every --compare run's import time and memory.
         assert routes_run[1]["numpy_fft"] is False
+
+    def test_run_routes_never_load_numpy_polynomial(self, routes_run):
+        # Every grid route and --compare: the Hermite series is a local
+        # Clenshaw sum, and numpy.polynomial would add six modules and their
+        # memory to every run.
+        assert routes_run[1]["numpy_polynomial"] is False
 
     def test_package_source_never_imports_scipy(self):
         # Any import, at any depth: a lazy one inside a function would escape
@@ -1034,6 +1087,27 @@ class TestRecords:
                 assert b"np." not in written
 
 
+def _assert_grid_bytes(tmp_path, x, y, values, meta) -> str:
+    """``_write_grid`` writes the per-point definition's bytes; returns the JSON text."""
+    cli._write_grid(tmp_path / "g.csv", (x, y, values, meta), "csv")
+    lines = ["re_alpha,im_alpha,value"]
+    for i in range(x.size):
+        for j in range(y.size):
+            lines.append(f"{repr(float(x[i]))},{repr(float(y[j]))},{repr(float(values[i, j]))}")
+    assert (tmp_path / "g.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    cli._write_grid(tmp_path / "g.json", (x, y, values, meta), "json")
+    payload = {
+        "x_axis": [float(v) for v in x],
+        "y_axis": [float(v) for v in y],
+        "values": [[float(v) for v in row] for row in values],
+        "meta": {k: v for k, v in meta.items() if not isinstance(v, np.ndarray)},
+    }
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "g.json").read_bytes() == expected.encode()
+    return expected
+
+
 class TestGridWriter:
     @pytest.mark.parametrize("meta", [{}, {"quantity": "W", "note": "a, b", "grid": np.zeros(2)}])
     def test_bytes_match_definitions(self, tmp_path, meta):
@@ -1043,25 +1117,20 @@ class TestGridWriter:
         values = np.linspace(-1.0, 1.0, 35).reshape(7, 5) / 3.0
         special = [-0.0, 5e-324, -4e-17, 1e-300, 2.0, 1e16, 1e22]
         values.flat[[0, 4, 9, 17, 23, 30, 34]] = special
-        grid = PhaseSpaceGrid(x, y, values, meta)
-
-        cli._write_grid(tmp_path / "g.csv", grid, "csv")
-        lines = ["re_alpha,im_alpha,value"]
-        for i in range(7):
-            for j in range(5):
-                lines.append(f"{repr(float(x[i]))},{repr(float(y[j]))},{repr(float(values[i, j]))}")
-        assert (tmp_path / "g.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
-
-        cli._write_grid(tmp_path / "g.json", grid, "json")
-        payload = {
-            "x_axis": [float(v) for v in x],
-            "y_axis": [float(v) for v in y],
-            "values": [[float(v) for v in row] for row in values],
-            "meta": {k: v for k, v in meta.items() if not isinstance(v, np.ndarray)},
-        }
-        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        assert (tmp_path / "g.json").read_bytes() == expected.encode()
+        expected = _assert_grid_bytes(tmp_path, x, y, values, meta)
         assert "-0.0" in expected and "5e-324" in expected and "1e+22" in expected
+
+    def test_repeated_values_keep_their_bytes(self, tmp_path):
+        # The writer formats each distinct double once.  A centred thermal Q
+        # repeats its values at (+-x, +-y) and (y, x); 0.0 and -0.0 compare
+        # equal but are different doubles, with different texts.
+        x = np.linspace(-2.0, 2.0, 9)
+        values = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / 2.0) / (2.0 * np.pi)
+        values[:2, :2] = [[0.0, -0.0], [5e-324, 0.0]]
+        values[-1, -2:] = [-0.0, 5e-324]
+        assert len(set(values.ravel().tolist())) < values.size // 4
+        expected = _assert_grid_bytes(tmp_path, x, x, values, {"quantity": "Q"})
+        assert {"      0.0,", "      -0.0,", "      5e-324,", "      5e-324"} <= set(expected.splitlines())
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_readme_example_files_are_unchanged(self, tmp_path, fmt):

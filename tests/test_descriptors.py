@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
 
 from phasebath import (
     BathParams,
@@ -15,7 +16,7 @@ from phasebath import (
     rescale_zero_temperature,
     scale_bath,
 )
-from phasebath.descriptors import GaussianP, normal_moments, singular_part
+from phasebath.descriptors import GaussianP, _hermval, normal_moments, singular_part
 from phasebath.lindblad import integrate
 from phasebath.quasiprob import PhaseSpaceGrid
 from phasebath.states import FAMILIES, FAMILY_TABLE, default_cutoff, fock_density, parse_state_spec
@@ -100,6 +101,21 @@ class TestEvaluation:
                 )
                 checked += 1
         assert checked >= 8
+
+    @pytest.mark.parametrize("terms", [1, 2, 3])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_hermite_sum_is_numpy_hermval(self, terms, kind):
+        # The local Clenshaw sum keeps numpy.polynomial off the run path; it
+        # must give hermval's bits, at the complex widths of fock_populations
+        # too, for a coefficient stack that x broadcasts against and a vector.
+        rng = np.random.default_rng(terms)
+        x = rng.normal(size=(6, 1)) * 3
+        stack = rng.normal(size=(terms, 4, 6, 5))
+        if kind is complex:
+            x = x + 1j * rng.normal(size=x.shape)
+            stack = stack * (0.5 - 2j)
+        for c in (stack, stack[:, 0, 0, 0]):
+            assert np.array_equal(_hermval(x, c), hermval(x, c, tensor=False))
 
     def test_singular_kinds_refuse_pointwise_values(self):
         for desc in (
