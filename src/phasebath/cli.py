@@ -19,11 +19,12 @@ import json
 import math
 import sys
 import time as _time
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, floattext
 from .core import BathParams, scale_bath
 from .descriptors import evaluate_p, fock_populations, singular_part
 from .lindblad import integrate, moments_from_rho
@@ -153,14 +154,16 @@ class RunConfig:
         }
 
 
-def _reprs(values: np.ndarray) -> np.ndarray:
-    """Each double's shortest round-trip ``repr``, as an object array of the
-    same shape, with one ``repr`` per distinct bit pattern: -0.0 and 0.0 stay
-    apart, and the points that a centred state's symmetry maps onto each other
-    share one text."""
-    keys, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
-    texts = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
-    return texts[inverse].reshape(values.shape)
+def _texts(arrays: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """Each array's doubles as their shortest round-trip ``repr`` texts, an
+    object array of the array's shape.  One ``floattext`` pass formats every
+    array's distinct bit patterns: -0.0 and 0.0 stay apart, and the points
+    that a centred state's symmetry maps onto each other share one text.  An
+    array's texts are decoded only when the iterator reaches it."""
+    keys, inverses = zip(*(np.unique(a.ravel().view(np.int64), return_inverse=True) for a in arrays))
+    blobs = floattext.reprs([k.view(float) for k in keys])
+    for a, inverse in zip(arrays, inverses):
+        yield np.array(blobs.pop(0).decode().splitlines(), dtype=object)[inverse].reshape(a.shape)
 
 
 def _json_list(texts: list[str], indent: str) -> str:
@@ -170,23 +173,23 @@ def _json_list(texts: list[str], indent: str) -> str:
 
 
 def _write_grid(path: Path, grid: tuple[np.ndarray, np.ndarray, np.ndarray, dict], fmt: str) -> None:
-    """Write ``grid = (x_axis, y_axis, values, meta)``: float arrays with
-    ``values[i, j]`` at (x_axis[i], y_axis[j]), which ``run`` has checked are
-    finite before the first file is written, and a dict.
+    """Write ``grid = (x_texts, y_texts, texts, meta)``: the ``repr`` texts of
+    the axes and of the values, as object arrays from ``_texts``, with
+    ``texts[i, j]`` at (x_axis[i], y_axis[j]), and a dict.
 
-    Every number is written as its shortest round-trip ``repr``, which is
-    computed once per distinct double and is most of the cost; the files are
-    joins of those texts, the same bytes as one ``repr`` per point.  CSV has the header ``re_alpha,im_alpha,value`` and
-    one ``x,y,value`` line per point, row-major (x outer).  JSON is byte for
-    byte ``json.dumps({"meta", "values", "x_axis", "y_axis"}, indent=2,
+    ``run`` makes one ``floattext`` pass per run, over the axis and each
+    grid's distinct doubles, and hands each grid its texts as it is written;
+    the files are joins of those texts, the same bytes as one ``repr`` per
+    point.  CSV has the header ``re_alpha,im_alpha,value`` and one
+    ``x,y,value`` line per point, row-major (x outer).  JSON is byte for byte
+    ``json.dumps({"meta", "values", "x_axis", "y_axis"}, indent=2,
     sort_keys=True)``; array entries of ``meta`` are left out.
     """
-    x_axis, y_axis, values, meta = grid
-    texts = _reprs(values)
+    x_texts, y_texts, texts, meta = grid
     if fmt == "csv":
-        cells = np.empty((*values.shape, 4), dtype=object)
-        cells[..., 0] = _reprs(x_axis)[:, None] + ","
-        cells[..., 1] = _reprs(y_axis) + ","
+        cells = np.empty((*texts.shape, 4), dtype=object)
+        cells[..., 0] = x_texts[:, None] + ","
+        cells[..., 1] = y_texts + ","
         cells[..., 2] = texts
         cells[..., 3] = "\n"
         path.write_text("re_alpha,im_alpha,value\n" + "".join(cells.ravel().tolist()))
@@ -196,8 +199,8 @@ def _write_grid(path: Path, grid: tuple[np.ndarray, np.ndarray, np.ndarray, dict
         rows = ",\n    ".join(_json_list(row, "      ") for row in texts.tolist())
         path.write_text(
             f'{{\n  "meta": {meta_text},\n  "values": [\n    {rows}\n  ],\n'
-            f'  "x_axis": {_json_list(_reprs(x_axis).tolist(), "    ")},\n'
-            f'  "y_axis": {_json_list(_reprs(y_axis).tolist(), "    ")}\n}}\n'
+            f'  "x_axis": {_json_list(x_texts.tolist(), "    ")},\n'
+            f'  "y_axis": {_json_list(y_texts.tolist(), "    ")}\n}}\n'
         )
 
 
@@ -257,10 +260,13 @@ def run(config: RunConfig) -> int:
                         f"state {config.state.family!r} at t={t} has a singular P "
                         f"function ({singular}); p-grid is not representable on a sample grid"
                     )
-                values = evaluate_p(shown, axis[:, None], axis[None, :])
+                # A window far out in phase space can overflow; the non-finite
+                # values that this leaves are refused below.
+                with np.errstate(all="ignore"):
+                    values = evaluate_p(shown, axis[:, None], axis[None, :])
                 if not np.isfinite(values).all():
                     raise ValueError(f"{artifact} at t={t} has a non-finite value")
-                write, contents = _write_grid, (axis, axis, values, {"quantity": quantity})
+                write, contents = _write_grid, (values, {"quantity": quantity})
             elif artifact in _RECORDS:
                 write, contents = _write_record, {"time": t, **_RECORDS[artifact](mt)}
             else:  # oracle-compare
@@ -275,9 +281,14 @@ def run(config: RunConfig) -> int:
                 write, contents = _write_record, {"time": t, **devs}
             pending.append((f"{artifact}-{idx:03d}.{ext}", write, contents))
 
+    # One formatter pass per run, over the axis and each grid's values
+    texts = _texts([axis, *(contents[0] for _, write, contents in pending if write is _write_grid)])
+    axis_texts = next(texts)
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, write, contents in pending:
+        if write is _write_grid:
+            contents = (axis_texts, axis_texts, next(texts), contents[1])
         write(out_dir / name, contents, ext)
 
     # np.max propagates NaN, where max() would drop it

@@ -418,6 +418,37 @@ class TestRunContract:
         assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_huge_finite_window_overflowing_to_nan_is_one_error_line(self, tmp_path):
+        # The Hermite factor overflows to inf against an underflowed Gaussian;
+        # the NaN this leaves is refused, and no numpy warning reaches stderr.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "phasebath", "run", "--state", "photon-added-thermal", "--mbar", "1",
+             "--times", "0", "--outputs", "q-grid", "--grid=-1e200:1e200:41",
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: q-grid at t=0.0 has a non-finite value\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_finite_window_writes_its_limit_silently(self, tmp_path):
+        # |alpha|^2 overflows to inf off the centre, where Q is 0 to the last
+        # bit: the run writes that limit, with nothing on stderr.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "phasebath", "run", "--state", "thermal", "--mbar", "1",
+             "--times", "0", "--outputs", "q-grid", "--grid=-1e300:1e300:41",
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        rows = read_grid_csv(tmp_path / "out" / "q-grid-000.csv")
+        centre = (rows[:, 0] == 0.0) & (rows[:, 1] == 0.0)
+        assert rows[centre, 2].tolist() == [1.0 / (2.0 * math.pi)]
+        assert np.all(rows[~centre, 2] == 0.0)
+
     def test_repeated_artifact_is_an_error(self, tmp_path, capsys):
         code = main(
             [
@@ -1089,14 +1120,14 @@ class TestRecords:
 
 def _assert_grid_bytes(tmp_path, x, y, values, meta) -> str:
     """``_write_grid`` writes the per-point definition's bytes; returns the JSON text."""
-    cli._write_grid(tmp_path / "g.csv", (x, y, values, meta), "csv")
+    cli._write_grid(tmp_path / "g.csv", (*cli._texts([x, y, values]), meta), "csv")
     lines = ["re_alpha,im_alpha,value"]
     for i in range(x.size):
         for j in range(y.size):
             lines.append(f"{repr(float(x[i]))},{repr(float(y[j]))},{repr(float(values[i, j]))}")
     assert (tmp_path / "g.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
-    cli._write_grid(tmp_path / "g.json", (x, y, values, meta), "json")
+    cli._write_grid(tmp_path / "g.json", (*cli._texts([x, y, values]), meta), "json")
     payload = {
         "x_axis": [float(v) for v in x],
         "y_axis": [float(v) for v in y],
@@ -1131,6 +1162,22 @@ class TestGridWriter:
         assert len(set(values.ravel().tolist())) < values.size // 4
         expected = _assert_grid_bytes(tmp_path, x, x, values, {"quantity": "Q"})
         assert {"      0.0,", "      -0.0,", "      5e-324,", "      5e-324"} <= set(expected.splitlines())
+
+    def test_notation_switches_and_long_exponents_keep_their_bytes(self, tmp_path):
+        # A 41 x 41 grid whose values cross repr's switches to exponent form
+        # (below 1e-4, from 1e16 on) and reach three-digit exponents, with
+        # both signs, on axes that do the same.
+        x = np.concatenate([-np.logspace(-310, 300, 20), [0.0], np.logspace(-6, 20, 20)])
+        exponents = np.linspace(-320.0, 305.0, x.size * x.size).reshape(x.size, x.size)
+        values = np.where(np.arange(x.size)[:, None] % 2, -1.0, 1.0) * 10.0 ** exponents * 1.2345678
+        values[:, 0] = np.nextafter(1e-4, 0.0)  # 9.999999999999999e-05
+        values[:, 7] = np.nextafter(1e16, 0.0)  # 9999999999999998.0
+        values[::5, 3] = [1e-4, 1e-5, 1e15, 1e16, 9999999999999998.0, 5e-324, -0.0, 0.0, 1.7976931348623157e308]
+        expected = _assert_grid_bytes(tmp_path, x, x, values, {"quantity": "Q"})
+        texts = {line.strip().rstrip(",") for line in expected.splitlines()}
+        assert {"1e-05", "0.0001", "1e+16", "1000000000000000.0", "5e-324", "-0.0"} <= texts
+        assert {"9.999999999999999e-05", "9999999999999998.0", "1.7976931348623157e+308"} <= texts
+        assert any("e-31" in t for t in texts) and any("e+30" in t for t in texts)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_readme_example_files_are_unchanged(self, tmp_path, fmt):
