@@ -11,6 +11,11 @@ in the order and truncation of Giulietti's ``rop``.  The layout is CPython's
 or above 16, at least two exponent digits, ``.0`` after an integer, and
 ``-0.0``.  Each text is gathered from a per-value row of characters through a
 template chosen by the point position, the digit count and the sign.
+
+Values go through in chunks of ``_CHUNK``, so each numpy call's fixed cost is
+shared by that many.  A chunk's memory stays small because its temporaries
+are one-dimensional and reused: the three rounding candidates are formed one
+at a time in place, and the gather index is built ``_BLOCK`` rows at a time.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-#: values formatted together: a chunk's temporaries stay near a quarter of a
-#: megabyte, and each numpy call's fixed cost is shared by this many values
-_CHUNK = 512
+#: values formatted together: each numpy call's fixed cost is shared by this
+#: many, and a chunk's temporaries take about 150 bytes a value
+_CHUNK = 2048
+#: rows of the intp gather index, 200 bytes a row, built at a time
+_BLOCK = 512
 
 _M32 = 0xFFFFFFFF
 _P10 = 10 ** np.arange(18, dtype=np.int64)
@@ -44,9 +51,6 @@ def _g_table() -> np.ndarray:
 
 
 _G = _g_table()
-#: cp's three multipliers less 4c, and the four candidates less s (see _digits)
-_CP_OFFSET = np.array([[-2], [0], [2]])
-_ENDS_TENS, _ENDS_STEP = np.array([[1], [1], [0], [0]]), np.array([[0], [10], [0], [1]])
 
 
 def _layout_tables():
@@ -93,41 +97,54 @@ def _interval(bits: np.ndarray):
     """For the finite doubles whose int64 bits are ``bits``, value c 2^q:
     c, k, and the value and its rounding interval's ends in quarters of
     10^k, rounded to odd, as vb, vbl and vbr."""
-    # the exponent field and the fraction, by shifts alone: bits >> 63 is -1
-    # on a negative value
-    be = (bits >> 52) - (bits >> 63 << 11)
-    t = bits - (bits >> 52 << 52)
-    c = np.where(be > 0, t + (1 << 52), t)
-    q = be + (be == 0) - 1075
-    binade = (t == 0) & (be > 1)  # 2^q starts a binade: the gap below is half
+    q = bits >> 52 & 0x7FF  # the exponent field, then q
+    c = bits & (1 << 52) - 1
+    binade = (c == 0) & (q > 1)  # 2^q starts a binade: the gap below is half
+    np.add(c, 1 << 52, out=c, where=q > 0)
+    np.maximum(q, 1, out=q)
+    q -= 1075
     # k = floor(log10 2^q), or floor(log10(3/4 2^q)) where 2^q starts a
     # binade, and h = q + floor(-k log2 10) + 2, in exact integer forms
-    k = q * 661_971_961_083 - binade * 274_743_187_321 >> 41
-    h = q + (-k * 913_124_641_741 >> 38) + 2
+    k = q * 661_971_961_083
+    k -= binade * 274_743_187_321
+    k >>= 41
+    h = q  # in q's place
+    h += k * -913_124_641_741 >> 38
+    h += 2
     # rop(g1, g0, cp) = y1 + (z >> 63), or'ed with whether z's low 63 bits
     # are nonzero, where y1 y0 = g1 cp, x1 = the high 64 bits of g0 cp and
     # z = (y0 >> 1) + x1, for cp = (4c - 2, 4c, 4c + 2) << h, with 4c - 1
-    # for 4c - 2 where 2^q starts a binade
+    # for 4c - 2 where 2^q starts a binade: one cp at a time, in place
     g = np.take(_G, 292 - k, axis=1)
-    cp = (c << 2) + _CP_OFFSET
-    cp[0] += binade
-    cp = (cp << h).view(np.uint64)
-    cp_hi = cp >> 32
-    cp_lo = cp - (cp_hi << 32)
-    low, high = g[0:2, None], g[2:4, None]
-    # the high 64 bits of g1 cp and of g0 cp, summed in place; the middle
-    # products' sum fits 64 bits, as the high limbs are below 2^31 and cp_hi
-    # below 2^29
-    y1x1 = low * cp_lo
-    y1x1 >>= 32
-    y1x1 += high * cp_lo
-    y1x1 += low * cp_hi
-    y1x1 >>= 32
-    y1x1 += high * cp_hi
-    y1, x1 = y1x1
-    z = (g[4] * cp >> 1) + x1
-    carry = z >> 63
-    vbl, vb, vbr = (y1 + carry).view(np.int64) | ((z - (carry << 63)).view(np.int64) > 0)
+    low, high, g1 = g[0:2], g[2:4], g[4]
+    cp = np.empty_like(c)
+    u = cp.view(np.uint64)
+    cp_hi, cp_lo = np.empty((2, c.size), dtype=np.uint64)
+    y1x1, product = np.empty((2, 2, c.size), dtype=np.uint64)
+    vbl, vb, vbr = candidates = np.empty((3, c.size), dtype=np.int64)
+    for offset, v in zip((-2, 0, 2), candidates.view(np.uint64)):
+        np.left_shift(c, 2, out=cp)
+        cp += offset
+        if offset < 0:
+            cp += binade
+        cp <<= h
+        np.right_shift(u, 32, out=cp_hi)
+        np.bitwise_and(u, _M32, out=cp_lo)
+        # the high 64 bits of g1 cp and of g0 cp, summed in place; the
+        # middle products' sum fits 64 bits, as the high limbs are below
+        # 2^31 and cp_hi below 2^29
+        np.multiply(low, cp_lo, out=y1x1)
+        y1x1 >>= 32
+        y1x1 += np.multiply(high, cp_lo, out=product)
+        y1x1 += np.multiply(low, cp_hi, out=product)
+        y1x1 >>= 32
+        y1x1 += np.multiply(high, cp_hi, out=product)
+        z = np.multiply(g1, u, out=cp_lo)
+        z >>= 1
+        z += y1x1[1]
+        np.add(y1x1[0], np.right_shift(z, 63, out=cp_hi), out=v)
+        z <<= 1
+        v |= z != 0
     return c, k, vbl, vb, vbr
 
 
@@ -135,29 +152,41 @@ def _digits(bits: np.ndarray):
     """Schubfach's digits ``d`` and exponent ``k``, value = d * 10^k, for the
     finite doubles whose int64 bits are ``bits``; a zero gives d = 0."""
     c, k, vbl, vb, vbr = _interval(bits)
-    # The decimals s and s + 1 around v and the multiples of ten sp10 and
-    # sp10 + 10 around it, each inside or not of the interval, whose ends an
-    # odd c leaves out.  A lone multiple of ten inside is the shortest; else
-    # a lone one of s and s + 1; else the nearer of them, ties to even.
+    # The decimals s and t = s + 1 around v, and the multiples of ten sp10
+    # and tp10 = sp10 + 10 around it, each inside or not of the interval,
+    # whose ends an odd c leaves out.  s and sp10 lie at or below v, t and
+    # tp10 above it, and each end lies at least a quarter beyond v, so only
+    # the lower end can leave out s or sp10, and only the upper end t or tp10.
+    # A lone multiple of ten inside is the shortest; else a lone one of s and
+    # t; else the nearer of them, ties to even.
     out = c & 1
+    vbl += out  # the interval's ends, in quarters, that a decimal may reach
+    vbr -= out
     s = vb >> 2
-    ends = s - s % 10 * _ENDS_TENS + _ENDS_STEP  # sp10, sp10 + 10, s, s + 1
-    inside = (vbl + out <= ends << 2) & (ends << 2 <= vbr - out)
+    s4 = s << 2
+    t_in = s4 + 4 <= vbr
     up = (vb & 3) + (s & 1) > 2
-    d = s + np.where(inside[2] != inside[3], inside[3], up)
-    d = np.where(inside[0] != inside[1], ends[0] + 10 * inside[1], d)
-    return np.where(c == 0, 0, d), k
+    d = s + np.where((vbl <= s4) != t_in, t_in, up)
+    sp10 = s // 10 * 10
+    sp4 = np.left_shift(sp10, 2, out=s4)
+    tp10_in = sp4 + 40 <= vbr
+    d = np.where((vbl <= sp4) != tp10_in, sp10 + 10 * tp10_in, d)
+    d[c == 0] = 0
+    return d, k
 
 
 def _digit_chars(d: np.ndarray, src: np.ndarray) -> np.ndarray:
     """Write d's digits, as 17 scaled to [1e16, 1e17), into characters 3 to
     19 of each row of ``src``; return d's digit counts."""
     width = np.searchsorted(_P10, d, side="right")
-    groups = np.empty((5, d.size), dtype=np.int64)  # of 1, 4, 4, 4 and 4 digits
-    rest = np.divmod(d * _P10[17 - width], 10**16, out=(groups[0], groups[1]))[1]
-    high, low = np.divmod(rest, 10**8)
-    np.divmod(high, 10**4, out=(groups[1], groups[2]))
-    np.divmod(low, 10**4, out=(groups[3], groups[4]))
+    # groups of 1, 4, 4, 4 and 4 digits, by division alone: numpy divides an
+    # integer array by a constant fast, but finds remainders slowly
+    groups = np.empty((5, d.size), dtype=np.int64)
+    rest = d * _P10[17 - width]
+    for i, unit in enumerate((10**16, 10**12, 10**8, 10**4)):
+        np.floor_divide(rest, unit, out=groups[i])
+        rest -= groups[i] * unit
+    groups[4] = rest
     src.view(np.uint32)[:, :5] = _DIGITS4[groups.T]
     return width
 
@@ -170,17 +199,26 @@ def _texts(bits: np.ndarray, out: np.ndarray) -> None:
     # Each value's row of 32 characters: d's digits from 3 to 19, then
     # _SUFFIX: the exponent's digits and sign, "-.e0", a newline and NULs.
     src = np.empty((n, 32), dtype=np.uint8)
-    width = _digit_chars(d, src)
-    nd = 17 - np.argmax(src[:, 19:2:-1] != 48, axis=1)
+    decpt = k  # in k's place: the decimal point position, plus 324
+    decpt += _digit_chars(d, src) + 324
+    key = 17 - np.argmax(src[:, 19:2:-1] != 48, axis=1)  # the digit count
     zero = d == 0
-    nd[zero] = 1
-    decpt = np.where(zero, 1, width + k) + 324
+    decpt[zero] = 325
+    key[zero] = 1
     src[:, 20:].view(_SUFFIX.dtype)[:, 0] = _SUFFIX[decpt]
-    key = _FIRST_KEY[decpt] + 2 * nd + (bits < 0)
-    index = np.empty((n, 25), dtype=np.intp)
-    index[...] = _TEMPLATE[key].view(np.uint8).reshape(n, 25)
-    index += np.arange(0, 32 * n, 32)[:, None]
-    np.take(src.ravel(), index, out=out, mode="clip")  # every index is in range; clip skips a buffer
+    key <<= 1
+    key += bits < 0
+    key += _FIRST_KEY[decpt]
+    # Each text gathered through its template, _BLOCK rows at a time
+    index = np.empty((min(n, _BLOCK), 25), dtype=np.intp)
+    offsets = np.arange(0, 32 * len(index), 32)[:, None]
+    for first in range(0, n, _BLOCK):
+        span = slice(first, first + _BLOCK)
+        block = index[: key[span].size]
+        block[...] = _TEMPLATE[key[span]].view(np.uint8).reshape(block.shape)
+        block += offsets[: len(block)]
+        # every index is in range; clip skips a buffer
+        np.take(src[span].ravel(), block, out=out[span], mode="clip")
 
 
 def reprs(arrays: Sequence[np.ndarray]) -> list[bytes]:
@@ -192,18 +230,17 @@ def reprs(arrays: Sequence[np.ndarray]) -> list[bytes]:
     if not np.isfinite(bits.view(np.float64)).all():
         raise ValueError("only finite doubles have a shortest round-trip text")
     ends = np.cumsum([np.size(a) for a in arrays]).tolist()
-    texts: list = [[] for _ in arrays]  # each array's parts, then their join
+    texts, parts = [], []
     rows = np.empty((_CHUNK, 25), dtype=np.uint8)
-    owner = 0  # the array that the next value belongs to
-    for first in range(0, bits.size, _CHUNK):
-        last = min(first + _CHUNK, bits.size)
-        _texts(bits[first:last], rows[: last - first])
-        i = first
-        while i < last:
-            end = min(ends[owner], last)
-            texts[owner].append(rows[i - first : end - first].tobytes().translate(None, b"\0"))
-            owner += end == ends[owner]
-            i = end
-    for i, parts in enumerate(texts):
-        texts[i] = b"".join(parts)
+    first = last = done = 0  # rows holds values first to last; done are joined
+    for end in ends:
+        while done < end:
+            if done == last:
+                first, last = last, min(last + _CHUNK, bits.size)
+                _texts(bits[first:last], rows[: last - first])
+            stop = min(end, last)
+            parts.append(rows[done - first : stop - first].tobytes().translate(None, b"\0"))
+            done = stop
+        texts.append(b"".join(parts))
+        parts = []
     return texts

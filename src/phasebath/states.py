@@ -187,7 +187,12 @@ def initial_p_function(spec: StateSpec) -> GaussianP:
     if not FAMILY_TABLE[spec.family].added:
         return GaussianP(b, wx, wy)
     qx, qy = wx + 1.0, wy + 1.0
-    n = abs(b) ** 2 + (qx + qy) / 2.0
+    try:
+        n = abs(b) ** 2 + (qx + qy) / 2.0
+    except OverflowError:  # float ** raises where float * gives inf
+        raise ValueError(
+            f"<a a^dag> of the photon-added state is not finite: |beta|^2 overflows at |beta| = {abs(b)!r}"
+        ) from None
     # An undisplaced state has no gradient term (+0.0, where the product gives -0.0).
     gx, gy = (-qx * b.real / n, -qy * b.imag / n) if b else (0.0, 0.0)
     coeffs = [[1.0, gy, qy / 4.0 * (qy / n)], [gx, 0.0, 0.0], [qx / 4.0 * (qx / n), 0.0, 0.0]]

@@ -432,6 +432,21 @@ class TestRunContract:
         assert proc.stderr == "error: q-grid at t=0.0 has a non-finite value\n"
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_photon_added_amplitude_is_one_error_line(self, tmp_path):
+        # |beta|^2 overflows in <a a^dag>; this printed the errno tuple
+        # "(34, 'Numerical result out of range')".
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "phasebath", "run", "--state", "photon-added-coherent", "--beta-re", "1e200",
+             "--nbar", "1", "--times", "0,1", "--outputs", "moments", "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: <a a^dag> of the photon-added state is not finite: |beta|^2 overflows at |beta| = 1e+200\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_huge_finite_window_writes_its_limit_silently(self, tmp_path):
         # |alpha|^2 overflows to inf off the centre, where Q is 0 to the last
         # bit: the run writes that limit, with nothing on stderr.

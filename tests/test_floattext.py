@@ -1,5 +1,8 @@
 """floattext: bulk shortest round-trip text, held to ``repr`` byte for byte."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,9 +77,11 @@ class TestMatchesRepr:
 
 class TestArrays:
     def test_each_array_gets_its_own_texts(self):
-        # Arrays of every size around the chunk length, empty ones included,
-        # in one pass; a 2-D array is read row-major.
-        sizes = [0, 3, 0, floattext._CHUNK - 1, 1, floattext._CHUNK + 1, 0]
+        # Arrays of every size around the chunk length and the gather's row
+        # block, empty ones included, in one pass; the array of 2 chunks + 5
+        # values spans three chunks, and a 2-D array is read row-major.
+        chunk, block = floattext._CHUNK, floattext._BLOCK
+        sizes = [0, 3, 0, block - 1, 1, block + 1, chunk - 1, 1, chunk + 1, 0, 2 * chunk + 5, 0]
         rng = np.random.default_rng(11)
         arrays = [rng.standard_normal(size) for size in sizes] + [np.arange(6.0).reshape(2, 3)]
         texts = floattext.reprs(arrays)
@@ -86,3 +91,28 @@ class TestArrays:
     def test_non_finite_values_are_refused(self, bad):
         with pytest.raises(ValueError, match="finite"):
             floattext.reprs([np.array([1.0, bad])])
+
+
+class TestMemory:
+    def test_a_runs_pass_peaks_at_most_640_kb(self):
+        # About the distinct doubles of a phase-space run: an axis and four
+        # off-centre Gaussian 41 x 41 grids, tails included.  The chunk
+        # length and the kernel's in-place temporaries go together: with
+        # 2,048-value chunks, stacked candidates and a whole-chunk gather
+        # index peaked near 860 KB here, and 512-value chunks near 420 KB.
+        axis = np.linspace(-4.0, 4.0, 41)
+        x, y = axis[:, None], axis[None, :]
+        arrays = [axis] + [
+            np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / w) / (np.pi * w)
+            for cx, cy, w in [(0.3, -0.7, 0.5), (1.1, 0.4, 1.0), (-0.9, 1.3, 2.0), (2.2, -1.6, 0.8)]
+        ]
+        assert sum(a.size for a in arrays) == 6765
+        floattext.reprs(arrays)  # numpy's first-call set-up is not the pass's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            floattext.reprs(arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 640_000
