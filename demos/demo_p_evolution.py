@@ -12,7 +12,6 @@ import numpy as np
 
 from phasebath import (
     BathParams,
-    PhaseSpaceGrid,
     StateSpec,
     convolve_p_numeric,
     evaluate_p,
@@ -23,7 +22,6 @@ from phasebath import (
 spec = StateSpec("photon-added-thermal", mbar=1.0)
 bath = BathParams(gamma=0.5, nbar=2.0)
 axis = np.linspace(-6.0, 6.0, 61)
-template = PhaseSpaceGrid(axis, axis, np.zeros((axis.size, axis.size)), {})
 mid = axis.size // 2
 
 print(f"{spec.family}, mbar={spec.mbar}; bath gamma={bath.gamma}, nbar={bath.nbar}\n")
@@ -31,7 +29,7 @@ print("    t    P(0)         closed-vs-propagator max dev")
 for t in (0.2, 0.5, 1.0, 2.0):
     form = evolve_p_closed_form(spec, bath, t)
     closed = evaluate_p(form, axis[:, None], axis[None, :])
-    numeric = convolve_p_numeric(initial_p_function(spec), bath, t, template)
+    numeric = convolve_p_numeric(initial_p_function(spec), bath, t, axis, axis)
     dev = float(np.max(np.abs(numeric.values - closed)))
     print(f"  {t:4.1f}  {closed[mid, mid]:+.6f}   {dev:.3e}")
 

@@ -13,7 +13,6 @@ import numpy as np
 from phasebath import (
     BathParams,
     FockDensityMatrix,
-    PhaseSpaceGrid,
     StateSpec,
     evolve_p_closed_form,
     fock_density,
@@ -39,8 +38,7 @@ print(f"Q (analytic-P route) vs Q (Fock-basis route): "
 print(f"Q mass on the window: {q_analytic.mass():.6f}")
 
 one_photon = FockDensityMatrix.from_array(np.diag([0.0, 1.0] + [0.0] * 28))
-grid = PhaseSpaceGrid(axis, axis, np.zeros((axis.size, axis.size)), {})
-w = wigner_from_characteristic(one_photon, grid)
+w = wigner_from_characteristic(one_photon, axis, axis)
 mid = axis.size // 2
 print(f"\nWigner of a one-quantum state at the origin: {w.values[mid, mid]:+.6f}"
       f"  (exact: {-2.0 / np.pi:+.6f})")

@@ -172,36 +172,32 @@ def _json_list(texts: list[str], indent: str) -> str:
     return f"[\n{indent}" + f",\n{indent}".join(texts) + f"\n{indent[:-2]}]"
 
 
-def _write_grid(path: Path, grid: tuple[np.ndarray, np.ndarray, np.ndarray, dict], fmt: str) -> None:
-    """Write ``grid = (x_texts, y_texts, texts, meta)``: the ``repr`` texts of
-    the axes and of the values, as object arrays from ``_texts``, with
-    ``texts[i, j]`` at (x_axis[i], y_axis[j]), and a dict.
+def _grid_text(axis_texts: np.ndarray, texts: np.ndarray, quantity: str, fmt: str) -> str:
+    """A grid file's text from the ``repr`` texts of the run's one axis and of
+    the values, object arrays from ``_texts`` with ``texts[i, j]`` at
+    (axis[i], axis[j]), and the grid's quantity.
 
     ``run`` makes one ``floattext`` pass per run, over the axis and each
     grid's distinct doubles, and hands each grid its texts as it is written;
     the files are joins of those texts, the same bytes as one ``repr`` per
     point.  CSV has the header ``re_alpha,im_alpha,value`` and one
     ``x,y,value`` line per point, row-major (x outer).  JSON is byte for byte
-    ``json.dumps({"meta", "values", "x_axis", "y_axis"}, indent=2,
-    sort_keys=True)``; array entries of ``meta`` are left out.
+    ``json.dumps({"meta": {"quantity"}, "values", "x_axis", "y_axis"},
+    indent=2, sort_keys=True)``, with the axis as both ``x_axis`` and ``y_axis``.
     """
-    x_texts, y_texts, texts, meta = grid
     if fmt == "csv":
         cells = np.empty((*texts.shape, 4), dtype=object)
-        cells[..., 0] = x_texts[:, None] + ","
-        cells[..., 1] = y_texts + ","
+        comma = axis_texts + ","
+        cells[..., 0] = comma[:, None]
+        cells[..., 1] = comma
         cells[..., 2] = texts
         cells[..., 3] = "\n"
-        path.write_text("re_alpha,im_alpha,value\n" + "".join(cells.ravel().tolist()))
-    else:
-        meta = {k: v for k, v in meta.items() if not isinstance(v, np.ndarray)}
-        meta_text = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
-        rows = ",\n    ".join(_json_list(row, "      ") for row in texts.tolist())
-        path.write_text(
-            f'{{\n  "meta": {meta_text},\n  "values": [\n    {rows}\n  ],\n'
-            f'  "x_axis": {_json_list(x_texts.tolist(), "    ")},\n'
-            f'  "y_axis": {_json_list(y_texts.tolist(), "    ")}\n}}\n'
-        )
+        return "re_alpha,im_alpha,value\n" + "".join(cells.ravel().tolist())
+    meta = json.dumps({"quantity": quantity}, indent=2).replace("\n", "\n  ")
+    rows = ",\n    ".join(_json_list(row, "      ") for row in texts.tolist())
+    axis = _json_list(axis_texts.tolist(), "    ")
+    return (f'{{\n  "meta": {meta},\n  "values": [\n    {rows}\n  ],\n'
+            f'  "x_axis": {axis},\n  "y_axis": {axis}\n}}\n')
 
 
 def _json_text(value) -> str:
@@ -219,11 +215,11 @@ def _json_text(value) -> str:
     return json.dumps(finite(value), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_record(path: Path, record: dict, fmt: str) -> None:
+def _record_text(record: dict, fmt: str) -> str:
+    """A record file's text: a header and one row of ``repr`` texts, or JSON."""
     if fmt == "csv":
-        path.write_text(f"{','.join(record)}\n{','.join(map(repr, record.values()))}\n")
-    else:
-        path.write_text(_json_text(record))
+        return f"{','.join(record)}\n{','.join(map(repr, record.values()))}\n"
+    return _json_text(record)
 
 
 def run(config: RunConfig) -> int:
@@ -244,7 +240,8 @@ def run(config: RunConfig) -> int:
         rhos = integrate(rho0, config.bath, config.times)
         trace_deficits = [rho0.trace_deficit] + [r.trace_deficit for t, r in zip(config.times, rhos) if t > 0]
 
-    pending: list[tuple] = []  # (file name, writer, contents)
+    # each data file's text, or a grid's (quantity, values) to format below
+    files: dict[str, str | tuple[str, np.ndarray]] = {}
     deviations: list[float] = []
     for idx, t in enumerate(config.times):
         form = p0.convolved(*scale_bath(config.bath, t))
@@ -266,9 +263,9 @@ def run(config: RunConfig) -> int:
                     values = evaluate_p(shown, axis[:, None], axis[None, :])
                 if not np.isfinite(values).all():
                     raise ValueError(f"{artifact} at t={t} has a non-finite value")
-                write, contents = _write_grid, (values, {"quantity": quantity})
+                contents = (quantity, values)
             elif artifact in _RECORDS:
-                write, contents = _write_record, {"time": t, **_RECORDS[artifact](mt)}
+                contents = _record_text({"time": t, **_RECORDS[artifact](mt)}, ext)
             else:  # oracle-compare
                 mo = moments_from_rho(rhos[idx])
                 devs = {
@@ -278,25 +275,26 @@ def run(config: RunConfig) -> int:
                 populations = np.diagonal(rhos[idx].elements).real
                 devs["dev_populations"] = float(np.max(np.abs(fock_populations(form, cutoff) - populations)))
                 deviations.extend(devs.values())
-                write, contents = _write_record, {"time": t, **devs}
-            pending.append((f"{artifact}-{idx:03d}.{ext}", write, contents))
+                contents = _record_text({"time": t, **devs}, ext)
+            files[f"{artifact}-{idx:03d}.{ext}"] = contents
 
-    # One formatter pass per run, over the axis and each grid's values
-    texts = _texts([axis, *(contents[0] for _, write, contents in pending if write is _write_grid)])
+    # One formatter pass per run, over the axis and each grid's values; each
+    # grid's text is built as it is written.
+    texts = _texts([axis, *(c[1] for c in files.values() if isinstance(c, tuple))])
     axis_texts = next(texts)
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, write, contents in pending:
-        if write is _write_grid:
-            contents = (axis_texts, axis_texts, next(texts), contents[1])
-        write(out_dir / name, contents, ext)
+    for name, contents in files.items():
+        if isinstance(contents, tuple):
+            contents = _grid_text(axis_texts, next(texts), contents[0], ext)
+        (out_dir / name).write_text(contents)
 
     # np.max propagates NaN, where max() would drop it
     worst_dev = float(np.max(deviations)) if deviations else 0.0
     manifest = {
         "config": config.echo(),
         "version": __version__,
-        "files": [name for name, _, _ in pending],
+        "files": list(files),
         "trace_deficits": trace_deficits,
         "oracle_compare": {"worst_deviation": worst_dev, "tolerance": config.compare_tolerance}
         if deviations

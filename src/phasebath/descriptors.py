@@ -46,6 +46,9 @@ __all__ = [
 
 _NORMALIZATION_TOL = 1e-8
 
+#: most number-basis levels, or roots of unity, that a state may need
+LEVEL_LIMIT = 1 << 20
+
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -217,7 +220,7 @@ def fock_populations(desc: GaussianP, cutoff: int) -> np.ndarray:
     spread = math.sqrt(max(second_factorial + mean_n - mean_n * mean_n, 0.0))
     m = mean_n - abs(mean_a) ** 2 + abs(a_squared - mean_a * mean_a)
     size = max(cutoff, math.ceil(mean_n + 10.0 * spread + 42.0 * (m + 0.5)))
-    if size > 1 << 20:
+    if size > LEVEL_LIMIT:
         raise ValueError(f"populations of a state with <n> = {mean_n:.6g} need {size} roots of unity")
     js = np.arange(1, size)
     width = 0.5 + 0.5j / np.tan(math.pi * js / size)  # 1/(1 - z_j)
@@ -225,8 +228,8 @@ def fock_populations(desc: GaussianP, cutoff: int) -> np.ndarray:
         desc.center, desc.width_x + width, desc.width_y + width, desc.coeffs, 0.0, 0.0
     )
     # z_j^-k from the reduced exponent jk mod N is exact at every k; blocks of
-    # levels keep each phase matrix within 2^20 entries.  G(1) is the mass.
+    # levels keep each phase matrix within LEVEL_LIMIT entries.  G(1) is the mass.
     roots = np.exp(-2j * math.pi / size * np.arange(size))
-    step = max(1, (1 << 20) // size)
+    step = max(1, LEVEL_LIMIT // size)
     sums = [roots[np.outer(ks[a : a + step], js) % size] @ g for a in range(0, cutoff, step)]
     return (desc.coeffs[0, 0] + np.concatenate(sums)).real / size

@@ -10,9 +10,9 @@ so the evolved P is ``P0.convolved(eta, nbar_t)`` for every catalog state,
 and every moment of the evolved state is read off that P_t by
 ``MomentSet.from_p``.  At nbar = 0 the kernel has zero width and the map is
 the pure decay P0(alpha/eta)/eta^2.  ``convolve_p_numeric`` computes the same
-integral by quadrature from a regular P, as an independent cross-check; a
-singular P is checked through the semigroup law, by convolving its regular
-image at a later time.
+integral by quadrature from a regular P, as an independent cross-check, on a
+window given as ``(x_axis, y_axis)``; a singular P is checked through the
+semigroup law, by convolving its regular image at a later time.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ def evolved_moments(spec: StateSpec, bath: BathParams, t: float) -> MomentSet:
     return MomentSet.from_p(evolve_p_closed_form(spec, bath, t))
 
 
-def convolve_p_numeric(p0, bath: BathParams, t: float, grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
-    """Propagate a regular P by direct evaluation of the convolution integral.
+def convolve_p_numeric(p0, bath: BathParams, t: float, x_axis, y_axis) -> PhaseSpaceGrid:
+    """Propagate a regular P by direct evaluation of the convolution integral,
+    on the window alpha = x + iy for x in ``x_axis`` and y in ``y_axis``.
 
     Adaptive tensor Gauss-Legendre quadrature; the kernel is separable, so the
     two axes factor into matrix products.  Singular inputs are rejected; by
@@ -60,8 +61,8 @@ def convolve_p_numeric(p0, bath: BathParams, t: float, grid: PhaseSpaceGrid) -> 
     eta, nt = scale_bath(bath, t)
     if nt <= 0.0:
         raise ValueError("kernel width nbar_t must be positive; use the pure-decay path")
-    x = np.asarray(grid.x_axis)
-    y = np.asarray(grid.y_axis)
+    x = np.asarray(x_axis, dtype=float)
+    y = np.asarray(y_axis, dtype=float)
     reach = abs(p0.center) + 8.0 * math.sqrt(p0.width)
     root = math.sqrt(nt)
 
@@ -72,6 +73,5 @@ def convolve_p_numeric(p0, bath: BathParams, t: float, grid: PhaseSpaceGrid) -> 
         return kx @ pvals @ ky.T / (math.pi * nt)
 
     values, err = adaptive_gauss_legendre_1d(evaluate, (-reach, reach), (-reach, reach))
-    meta = dict(grid.meta)
-    meta.update(quantity="P", time=t, method="quadrature", quadrature_error=err)
+    meta = {"quantity": "P", "time": t, "method": "quadrature", "quadrature_error": err}
     return PhaseSpaceGrid(x, y, values, meta)

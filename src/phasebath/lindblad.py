@@ -41,23 +41,20 @@ __all__ = [
 _TRACE_DRIFT_LIMIT = 1e-6
 
 
-def _liouvillian(rho: np.ndarray, gamma: float, nbar: float) -> np.ndarray:
-    n = rho.shape[0]
-    sq = np.sqrt(np.arange(n))
-    levels = np.arange(n)
-    out = np.zeros_like(rho)
-    # a rho a^dag and a^dag rho a as index shifts
-    out[:-1, :-1] += 2.0 * gamma * (1.0 + nbar) * rho[1:, 1:] * np.outer(sq[1:], sq[1:])
-    if nbar > 0.0:
-        out[1:, 1:] += 2.0 * gamma * nbar * rho[:-1, :-1] * np.outer(sq[1:], sq[1:])
-    decay = gamma * (1.0 + nbar) * levels[:, None] + gamma * nbar * (levels[:, None] + 1.0)
-    out -= (decay + decay.T) * rho
-    return out
-
-
 def apply_liouvillian(rho: FockDensityMatrix, bath: BathParams) -> np.ndarray:
     """One application of the damping generator to a state."""
-    return _liouvillian(np.asarray(rho.elements), bath.gamma, bath.nbar)
+    el, gamma, nbar = np.asarray(rho.elements), bath.gamma, bath.nbar
+    n = el.shape[0]
+    sq = np.sqrt(np.arange(n))
+    levels = np.arange(n)
+    out = np.zeros_like(el)
+    # a rho a^dag and a^dag rho a as index shifts
+    out[:-1, :-1] += 2.0 * gamma * (1.0 + nbar) * el[1:, 1:] * np.outer(sq[1:], sq[1:])
+    if nbar > 0.0:
+        out[1:, 1:] += 2.0 * gamma * nbar * el[:-1, :-1] * np.outer(sq[1:], sq[1:])
+    decay = gamma * (1.0 + nbar) * levels[:, None] + gamma * nbar * (levels[:, None] + 1.0)
+    out -= (decay + decay.T) * el
+    return out
 
 
 # Levels per panel of the channel's Toeplitz product.  Each pair of panels

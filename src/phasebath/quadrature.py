@@ -4,19 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["QuadratureError", "adaptive_gauss_legendre_1d", "gauss_legendre_nodes"]
+__all__ = ["adaptive_gauss_legendre_1d", "gauss_legendre_nodes"]
 
 TOLERANCE = 1e-9
 START_NODES = 96
 MAX_NODES = 1536
-
-
-class QuadratureError(RuntimeError):
-    """Raised when refinement stalls above the tolerance."""
-
-    def __init__(self, message: str, error_estimate: float):
-        super().__init__(f"{message} (error estimate {error_estimate:.3e})")
-        self.error_estimate = error_estimate
 
 
 def gauss_legendre_nodes(lo: float, hi: float, n: int):
@@ -31,8 +23,8 @@ def adaptive_gauss_legendre_1d(evaluate, box_x, box_y):
 
     ``evaluate(nodes_x, w_x, nodes_y, w_y)`` must return the full output array
     for one tensor rule; node counts double from ``START_NODES`` until the
-    sup-norm change drops below ``TOLERANCE``, and give up at ``MAX_NODES``.
-    Returns (values, error_estimate).
+    sup-norm change drops below ``TOLERANCE``, and give up at ``MAX_NODES``
+    with a ``RuntimeError``.  Returns (values, error_estimate).
     """
     n = START_NODES
     prev = evaluate(*gauss_legendre_nodes(*box_x, n), *gauss_legendre_nodes(*box_y, n))
@@ -44,4 +36,4 @@ def adaptive_gauss_legendre_1d(evaluate, box_x, box_y):
         prev = cur
         if err < TOLERANCE:
             return cur, err
-    raise QuadratureError("quadrature did not converge to tolerance", err)
+    raise RuntimeError(f"quadrature did not converge to tolerance (error estimate {err:.3e})")

@@ -6,9 +6,10 @@ the number-basis oracle.  The antinormal distribution Q(alpha) is the
 bath map of ``descriptors`` at decay 1 and width 1, ``p.convolved(1.0, 1.0)``,
 evaluated pointwise.  Q also equals (1/pi) <alpha|rho|alpha> computed from a
 density matrix.  The command line writes W as ``p.convolved(1.0, 0.5)``; here
-the Wigner function of a density matrix is its displaced parity at the grid's
-own points, the Fock-side reference that the tests and demos hold the closed
-form to.
+the Wigner function of a density matrix is its displaced parity on the window
+of a pair of axes, the Fock-side reference that the tests and demos hold the
+closed form to.  Every function that samples a grid takes its window as
+``(x_axis, y_axis)`` and returns a ``PhaseSpaceGrid``, which validates it.
 W and the characteristic function are one sum over the diagonals of
 the density matrix, a Laguerre series in |xi|^2 per diagonal, summed once per
 distinct |xi|^2 of an array of xi.  A scalar xi runs as a one-element array,
@@ -38,27 +39,12 @@ _ORDER_EXPONENT = {"normal": 0.0, "symmetric": -0.5, "antinormal": -1.0}
 ORDERINGS = tuple(_ORDER_EXPONENT)
 
 
-def checked_grid(x_axis, y_axis, values):
-    """Read-only float copies of a uniform rectangular grid, after validation."""
-    x, y, v = (_frozen_array(a) for a in (x_axis, y_axis, values))
-    for axis in (x, y):
-        steps = np.diff(axis)
-        if axis.ndim != 1 or axis.size < 2 or np.any(steps <= 0):
-            raise ValueError("axes must be strictly increasing 1-D arrays")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-            raise ValueError("axes must be uniformly spaced")
-    if v.shape != (x.size, y.size):
-        raise ValueError("values shape must be (len(x_axis), len(y_axis))")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("grid values must be finite")
-    return x, y, v
-
-
 @dataclass(frozen=True, eq=False)
 class PhaseSpaceGrid:
     """Scalar field sampled on a uniform rectangular phase-space grid.
 
-    ``values[i, j]`` belongs to alpha = x_axis[i] + 1j * y_axis[j].
+    ``values[i, j]`` belongs to alpha = x_axis[i] + 1j * y_axis[j].  The
+    arrays are stored as read-only float copies, after validation.
     """
 
     x_axis: np.ndarray
@@ -67,8 +53,18 @@ class PhaseSpaceGrid:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        arrays = checked_grid(self.x_axis, self.y_axis, self.values)
-        for name, arr in zip(("x_axis", "y_axis", "values"), arrays):
+        x, y, v = (_frozen_array(a) for a in (self.x_axis, self.y_axis, self.values))
+        for axis in (x, y):
+            steps = np.diff(axis)
+            if axis.ndim != 1 or axis.size < 2 or np.any(steps <= 0):
+                raise ValueError("axes must be strictly increasing 1-D arrays")
+            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
+                raise ValueError("axes must be uniformly spaced")
+        if v.shape != (x.size, y.size):
+            raise ValueError("values shape must be (len(x_axis), len(y_axis))")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("grid values must be finite")
+        for name, arr in zip(("x_axis", "y_axis", "values"), (x, y, v)):
             object.__setattr__(self, name, arr)
 
     def mass(self) -> float:
@@ -168,16 +164,18 @@ def p_to_q_grid(p, x_axis, y_axis) -> PhaseSpaceGrid:
     return PhaseSpaceGrid(x, y, values, {"quantity": "Q"})
 
 
-def wigner_from_characteristic(rho: FockDensityMatrix, grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
-    """Symmetric-ordering distribution of rho at the points of ``grid``, by
-    displaced parity: W(alpha) = (2/pi) Tr[rho D(2 alpha) (-1)^{a^dagger a}]
-    (Royer, PRA 15, 449 (1977); Cahill & Glauber, Phys. Rev. 177, 1882 (1969)).
+def wigner_from_characteristic(rho: FockDensityMatrix, x_axis, y_axis) -> PhaseSpaceGrid:
+    """Symmetric-ordering distribution of rho at alpha = x + iy for x in
+    ``x_axis`` and y in ``y_axis``, by displaced parity:
+    W(alpha) = (2/pi) Tr[rho D(2 alpha) (-1)^{a^dagger a}] (Royer, PRA 15, 449
+    (1977); Cahill & Glauber, Phys. Rev. 177, 1882 (1969)).
 
     This is chi_symmetric's Laguerre sum at xi = 2 alpha with the sign (-1)^n
     on row n of each diagonal, and it is real.  D's elements are exact in the
     truncated basis, so W is exact for the given rho.
     """
-    x, y = grid.x_axis, grid.y_axis
+    x = np.asarray(x_axis, dtype=float)
+    y = np.asarray(y_axis, dtype=float)
     xi = 2.0 * (x[:, None] + 1j * y[None, :])
     values = (2.0 / math.pi) * _displaced_trace(rho, xi, -0.5, parity=True).real
     return PhaseSpaceGrid(x, y, values, {"quantity": "W"})

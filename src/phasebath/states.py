@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_amplitude
-from .descriptors import GaussianP, normal_moments
+from .descriptors import LEVEL_LIMIT, GaussianP, normal_moments
 from .fock import (
     FockDensityMatrix,
     annihilation,
@@ -184,6 +184,8 @@ def initial_p_function(spec: StateSpec) -> GaussianP:
     """
     b, m, s = spec.beta, spec.mbar, spec.squeeze
     wx, wy = m / s + (1.0 - s) / (2.0 * s), m * s + (s - 1.0) / 2.0
+    if not (min(wx, wy) > -0.5 and math.isfinite(max(wx, wy))):
+        raise ValueError(f"squeeze {s!r} is too far from 1: its P widths ({wx!r}, {wy!r}) leave (-1/2, inf)")
     if not FAMILY_TABLE[spec.family].added:
         return GaussianP(b, wx, wy)
     qx, qy = wx + 1.0, wy + 1.0
@@ -219,10 +221,14 @@ def default_cutoff(p0: GaussianP, nbar: float = 0.0) -> int:
     diagonal (gamma = 1, t in {0, 0.3, 1, 3}, nbar in {0, 0.4}) the catalog's
     displaced-thermal example leaves 5.2e-8 of <a^dag^2 a^2> beyond its cutoff
     of 30 and the photon-added-thermal example 3.3e-8 beyond 41; the other
-    examples leave under 8e-10.
+    examples leave under 8e-10.  A state whose first guess exceeds
+    ``LEVEL_LIMIT`` levels, or is not finite, is refused before any level is sized.
     """
     mean_n = normal_moments(p0)[1]
-    cutoff = max(30, math.ceil(8.0 * (mean_n + nbar + 1.0)))
+    guess = 8.0 * (mean_n + nbar + 1.0)
+    if not guess <= LEVEL_LIMIT:  # NaN fails this too
+        raise ValueError(f"a number basis for <n> = {mean_n!r} and nbar = {nbar!r} needs over {LEVEL_LIMIT} levels")
+    cutoff = max(30, math.ceil(guess))
     m = max(p0.width, nbar)
     q = m / (1.0 + m)
     while q**cutoff * (cutoff * (cutoff - 1) + 2 * cutoff * m + 2 * m * m) > _TAIL_SECOND_FACTORIAL:

@@ -14,7 +14,6 @@ from numpy.polynomial.legendre import leggauss
 
 from phasebath import (
     BathParams,
-    PhaseSpaceGrid,
     StateSpec,
     apply_liouvillian,
     convolve_p_numeric,
@@ -86,7 +85,6 @@ def test_criterion_2_convolution_vs_closed_forms():
     dt and compared with the closed form at t1 + dt.
     """
     axis = np.linspace(-6.0, 6.0, 61)
-    template = PhaseSpaceGrid(axis, axis, np.zeros((61, 61)), {})
     bath = BathParams(gamma=0.5, nbar=2.0)
     worst = 0.0
     for spec, t1, steps in (
@@ -100,7 +98,7 @@ def test_criterion_2_convolution_vs_closed_forms():
             closed = evaluate_p(
                 evolve_p_closed_form(spec, bath, t1 + dt), axis[:, None], axis[None, :]
             )
-            numeric = convolve_p_numeric(start, bath, dt, template)
+            numeric = convolve_p_numeric(start, bath, dt, axis, axis)
             worst = max(worst, float(np.max(np.abs(numeric.values - closed))))
     ok = worst < 1e-6
     report(2, "propagator integral vs closed forms", ok, f"worst dev {worst:.3e}")

@@ -24,7 +24,7 @@ from phasebath import (
 from phasebath import cli, states
 from phasebath.cli import GridSpec, RunConfig, main, state_catalog
 from phasebath.descriptors import GaussianP, evaluate_p
-from phasebath.quasiprob import PhaseSpaceGrid, wigner_from_characteristic
+from phasebath.quasiprob import wigner_from_characteristic
 from phasebath.states import FAMILY_TABLE, parse_state_spec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -310,14 +310,13 @@ class TestRunContract:
         spec = parse_state_spec({"family": family, **entry.example})
         bath = BathParams(gamma=1.0, nbar=0.4)
         axis = GridSpec().axis()
-        template = PhaseSpaceGrid(axis, axis, np.zeros((axis.size, axis.size)))
         rhos = integrate(fock_density(spec, 60), bath, times)
         for idx, (t, rho) in enumerate(zip(times, rhos)):
             form = evolve_p_closed_form(spec, bath, t)
             expected = evaluate_p(form.convolved(1.0, 0.5), axis[:, None], axis[None, :])
             w = read_grid_csv(tmp_path / "out" / f"w-grid-{idx:03d}.csv")[:, 2].reshape(expected.shape)
             assert float(np.max(np.abs(w - expected))) < 1e-6
-            parity = wigner_from_characteristic(rho, template).values
+            parity = wigner_from_characteristic(rho, axis, axis).values
             assert float(np.max(np.abs(w - parity))) <= 1e-12
 
     def test_grids_need_no_density_matrix(self, tmp_path, monkeypatch):
@@ -596,6 +595,32 @@ class TestRunContract:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["--state", "coherent", "--beta-re", "1e160", "--outputs", "moments", "--compare"], "<n> = inf"),
+            (["--state", "coherent", "--beta-re", "1e100", "--outputs", "moments", "--compare"], "<n> = 1e+200"),
+            (["--state", "thermal", "--mbar", "1e200", "--outputs", "moments", "--compare"], "<n> = 1e+200"),
+            (["--state", "displaced-thermal", "--mbar", "1", "--beta-re", "1e10", "--outputs", "moments",
+              "--compare"], "<n> = 1e+20"),
+            (["--state", "coherent", "--beta-re", "1e5", "--outputs", "moments", "--compare"], "<n> = 10000000000.0"),
+            (["--state", "squeezed-coherent", "--squeeze", "1e16"], "squeeze 1e+16 is too far from 1"),
+            (["--state", "squeezed-coherent", "--squeeze", "1e-200"], "squeeze 1e-200 is too far from 1"),
+        ],
+        ids=["coherent-1e160", "coherent-1e100", "thermal-1e200", "displaced-thermal-1e10", "coherent-1e5",
+             "squeeze-1e16", "squeeze-1e-200"],
+    )
+    def test_state_out_of_reach_is_one_error_line_naming_it(self, tmp_path, capsys, args, named):
+        # These printed "cannot convert float infinity to integer", "int too
+        # large to convert to float", "Maximum allowed size exceeded", numpy's
+        # "Unable to allocate 596. GiB" and a P width rounded to -1/2.
+        out = tmp_path / "out"
+        assert main(["run", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "args",
@@ -994,6 +1019,19 @@ class TestRunConfigValidation:
                 output_dir=Path("x"),
             )
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--state", "thermal", "--mbar", "1", "--outputs", ","], "at least one output artifact must be requested"),
+            (["--mbar", "1"], "a state family is required (--state or config file)"),
+        ],
+        ids=["no-outputs", "no-state"],
+    )
+    def test_command_line_refusals_name_their_setting(self, tmp_path, capsys, args, message):
+        assert main(["run", *args, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 #: every config key with a value, and the same settings as flags
 _ALL_KEYS = {
@@ -1064,9 +1102,9 @@ class TestConfigFile:
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_byte_order_mark_is_allowed(self, tmp_path, newline):
         # Editors may save UTF-8 with a byte-order mark; it is not part of the
-        # first key.
-        text = newline.join(["family=thermal", "mbar=1", "nbar=0.4", "times=0,0.5",
-                             "outputs=q-grid,moments", "grid=-3:3:9", ""])
+        # first key.  Comment and blank lines are skipped.
+        text = newline.join(["family=thermal", "# the state's occupation", "mbar=1", "", "  ", "nbar=0.4",
+                             "times=0,0.5", "  # the sample times", "outputs=q-grid,moments", "grid=-3:3:9", ""])
         for name, data in (("plain", text.replace(newline, "\n").encode()),
                            ("bom", b"\xef\xbb\xbf" + text.encode())):
             cfg = tmp_path / f"{name}.cfg"
@@ -1074,6 +1112,13 @@ class TestConfigFile:
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
         assert len(_data_files(tmp_path / "bom")) == 1 + 2 * 2
         assert _data_files(tmp_path / "bom") == _data_files(tmp_path / "plain")
+
+    def test_line_without_equals_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("state=thermal\nmbar 1\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: config line must be key=value, got 'mbar 1'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_value_fails_as_its_flag(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -1118,7 +1163,7 @@ class TestRecords:
             "p-grid", "q-grid", "w-grid", "moments", "mandel-q", "variances", "oracle-compare"
         )
 
-    def test_numpy_moments_write_the_same_rows(self, tmp_path):
+    def test_numpy_moments_write_the_same_rows(self):
         values = (0.3 + 0.1j, 0.7, 0.5, 0.4, 0.6, 0.05 - 0.02j)
         python = states.MomentSet(*values)
         numpy = states.MomentSet(np.complex128(values[0]), *map(np.float64, values[1:5]), np.complex128(values[5]))
@@ -1126,47 +1171,44 @@ class TestRecords:
             assert type(getattr(numpy, name)) is float, name
         for artifact, columns in cli._RECORDS.items():
             for fmt in ("csv", "json"):
-                for label, moments in (("python", python), ("numpy", numpy)):
-                    cli._write_record(tmp_path / f"{label}.{fmt}", {"time": 0.5, **columns(moments)}, fmt)
-                written = (tmp_path / f"python.{fmt}").read_bytes()
-                assert (tmp_path / f"numpy.{fmt}").read_bytes() == written, (artifact, fmt)
-                assert b"np." not in written
+                python_text, numpy_text = (
+                    cli._record_text({"time": 0.5, **columns(moments)}, fmt) for moments in (python, numpy)
+                )
+                assert numpy_text == python_text, (artifact, fmt)
+                assert "np." not in python_text
 
 
-def _assert_grid_bytes(tmp_path, x, y, values, meta) -> str:
-    """``_write_grid`` writes the per-point definition's bytes; returns the JSON text."""
-    cli._write_grid(tmp_path / "g.csv", (*cli._texts([x, y, values]), meta), "csv")
+def _assert_grid_bytes(axis, values, quantity) -> str:
+    """``_grid_text`` gives the per-point definition's text; returns the JSON text."""
     lines = ["re_alpha,im_alpha,value"]
-    for i in range(x.size):
-        for j in range(y.size):
-            lines.append(f"{repr(float(x[i]))},{repr(float(y[j]))},{repr(float(values[i, j]))}")
-    assert (tmp_path / "g.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+    for i in range(axis.size):
+        for j in range(axis.size):
+            lines.append(f"{repr(float(axis[i]))},{repr(float(axis[j]))},{repr(float(values[i, j]))}")
+    assert cli._grid_text(*cli._texts([axis, values]), quantity, "csv") == "\n".join(lines) + "\n"
 
-    cli._write_grid(tmp_path / "g.json", (*cli._texts([x, y, values]), meta), "json")
     payload = {
-        "x_axis": [float(v) for v in x],
-        "y_axis": [float(v) for v in y],
+        "x_axis": [float(v) for v in axis],
+        "y_axis": [float(v) for v in axis],
         "values": [[float(v) for v in row] for row in values],
-        "meta": {k: v for k, v in meta.items() if not isinstance(v, np.ndarray)},
+        "meta": {"quantity": quantity},
     }
     expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    assert (tmp_path / "g.json").read_bytes() == expected.encode()
+    assert cli._grid_text(*cli._texts([axis, values]), quantity, "json") == expected
     return expected
 
 
 class TestGridWriter:
-    @pytest.mark.parametrize("meta", [{}, {"quantity": "W", "note": "a, b", "grid": np.zeros(2)}])
-    def test_bytes_match_definitions(self, tmp_path, meta):
-        # 7 x 5, so swapped axes show; the values include edge cases of repr.
-        x = np.linspace(-1.5, 1.5, 7)
-        y = np.linspace(-0.2, 0.2, 5)
-        values = np.linspace(-1.0, 1.0, 35).reshape(7, 5) / 3.0
+    def test_bytes_match_definitions(self):
+        # Values that are not symmetric in (i, j), so swapped axes show; they
+        # include edge cases of repr.
+        axis = np.linspace(-1.5, 1.5, 7)
+        values = np.linspace(-1.0, 1.0, 49).reshape(7, 7) / 3.0
         special = [-0.0, 5e-324, -4e-17, 1e-300, 2.0, 1e16, 1e22]
         values.flat[[0, 4, 9, 17, 23, 30, 34]] = special
-        expected = _assert_grid_bytes(tmp_path, x, y, values, meta)
+        expected = _assert_grid_bytes(axis, values, "W")
         assert "-0.0" in expected and "5e-324" in expected and "1e+22" in expected
 
-    def test_repeated_values_keep_their_bytes(self, tmp_path):
+    def test_repeated_values_keep_their_bytes(self):
         # The writer formats each distinct double once.  A centred thermal Q
         # repeats its values at (+-x, +-y) and (y, x); 0.0 and -0.0 compare
         # equal but are different doubles, with different texts.
@@ -1175,10 +1217,10 @@ class TestGridWriter:
         values[:2, :2] = [[0.0, -0.0], [5e-324, 0.0]]
         values[-1, -2:] = [-0.0, 5e-324]
         assert len(set(values.ravel().tolist())) < values.size // 4
-        expected = _assert_grid_bytes(tmp_path, x, x, values, {"quantity": "Q"})
+        expected = _assert_grid_bytes(x, values, "Q")
         assert {"      0.0,", "      -0.0,", "      5e-324,", "      5e-324"} <= set(expected.splitlines())
 
-    def test_notation_switches_and_long_exponents_keep_their_bytes(self, tmp_path):
+    def test_notation_switches_and_long_exponents_keep_their_bytes(self):
         # A 41 x 41 grid whose values cross repr's switches to exponent form
         # (below 1e-4, from 1e16 on) and reach three-digit exponents, with
         # both signs, on axes that do the same.
@@ -1188,7 +1230,7 @@ class TestGridWriter:
         values[:, 0] = np.nextafter(1e-4, 0.0)  # 9.999999999999999e-05
         values[:, 7] = np.nextafter(1e16, 0.0)  # 9999999999999998.0
         values[::5, 3] = [1e-4, 1e-5, 1e15, 1e16, 9999999999999998.0, 5e-324, -0.0, 0.0, 1.7976931348623157e308]
-        expected = _assert_grid_bytes(tmp_path, x, x, values, {"quantity": "Q"})
+        expected = _assert_grid_bytes(x, values, "Q")
         texts = {line.strip().rstrip(",") for line in expected.splitlines()}
         assert {"1e-05", "0.0001", "1e+16", "1000000000000000.0", "5e-324", "-0.0"} <= texts
         assert {"9.999999999999999e-05", "9999999999999998.0", "1.7976931348623157e+308"} <= texts

@@ -135,6 +135,20 @@ class TestEvaluation:
                 values=np.zeros((3, 3)),
             )
 
+    @pytest.mark.parametrize(
+        "x_axis, values, message",
+        [
+            ([0.0, -1.0, -2.0], np.zeros((3, 3)), "strictly increasing"),
+            ([[0.0, 1.0, 2.0]], np.zeros((3, 3)), "1-D"),
+            ([0.0, 1.0, 2.0], np.zeros((3, 2)), "values shape"),
+            ([0.0, 1.0, 2.0], np.diag([0.0, np.inf, 0.0]), "finite"),
+        ],
+        ids=["decreasing", "two-dimensional", "shape", "non-finite"],
+    )
+    def test_phase_space_grid_refuses_bad_windows(self, x_axis, values, message):
+        with pytest.raises(ValueError, match=message):
+            PhaseSpaceGrid(np.array(x_axis), np.array([0.0, 1.0, 2.0]), values)
+
 
 class TestNormalization:
     def test_enforces_unit_mass(self):

@@ -202,14 +202,6 @@ class TestClosedFormDistributions:
 class TestNumericConvolution:
     GRID = np.linspace(-6.0, 6.0, 61)
 
-    @classmethod
-    def template(cls):
-        from phasebath import PhaseSpaceGrid
-
-        return PhaseSpaceGrid(
-            cls.GRID, cls.GRID, np.zeros((cls.GRID.size, cls.GRID.size)), {}
-        )
-
     # The initial coherent, photon-added coherent and squeezed P are
     # singular, so those states start from their regular closed form at
     # t1 = 0.2 and check the bath's semigroup law.
@@ -241,10 +233,10 @@ class TestNumericConvolution:
                 self.GRID[:, None],
                 self.GRID[None, :],
             )
-            numeric = convolve_p_numeric(start, bath, dt, self.template())
+            numeric = convolve_p_numeric(start, bath, dt, self.GRID, self.GRID)
             np.testing.assert_allclose(numeric.values, closed, atol=1e-10)
 
     def test_rejects_singular_squeezed_input(self):
         p0 = initial_p_function(StateSpec("squeezed-coherent", beta=0.8, squeeze=2.0))
         with pytest.raises(TypeError, match="singular"):
-            convolve_p_numeric(p0, BathParams(gamma=0.5, nbar=2.0), 0.2, self.template())
+            convolve_p_numeric(p0, BathParams(gamma=0.5, nbar=2.0), 0.2, self.GRID, self.GRID)

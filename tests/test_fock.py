@@ -45,6 +45,24 @@ def test_density_matrix_rejects_non_finite_elements():
         FockDensityMatrix(3, np.diag([0.5, 0.5, np.nan]), 0.0)
 
 
+@pytest.mark.parametrize(
+    "cutoff, elements, message",
+    [
+        (1, [[1.0]], "cutoff must be >= 2"),
+        (3, np.eye(2) / 2.0, "cutoff x cutoff"),
+        (2, [[0.5, 0.1], [0.0, 0.5]], "not Hermitian"),
+        (2, np.diag([0.6, 0.6]), "outside the admissible range"),
+        (2, np.diag([0.4, 0.4]), "outside the admissible range"),
+        (2, [[0.5, 0.9], [0.9, 0.5]], "negative eigenvalue"),
+    ],
+    ids=["cutoff", "shape", "hermiticity", "trace-above", "trace-below", "eigenvalue"],
+)
+def test_density_matrix_refuses_what_is_no_state(cutoff, elements, message):
+    # Each input passes every check but the one it names.
+    with pytest.raises(ValueError, match=message):
+        FockDensityMatrix(cutoff, np.array(elements, dtype=complex), 0.0)
+
+
 def test_zero_occupation_is_the_vacuum():
     expected = np.zeros(6)
     expected[0] = 1.0

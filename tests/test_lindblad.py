@@ -279,6 +279,12 @@ class TestIntegration:
         with pytest.raises(RuntimeError, match="trace drifted by nan"):
             integrate(rho0, BathParams(gamma=1.0, nbar=0.3), [0.5])
 
+    def test_moments_refuse_a_trace_deficit(self):
+        # A valid state, 1e-4 short of unit trace, whose moments would pass.
+        rho = FockDensityMatrix.from_array(np.diag([0.9999, 0.0]))
+        with pytest.raises(ValueError, match="trace deficit 1.000e-04 too large for moments"):
+            moments_from_rho(rho)
+
     def test_rejects_negative_time(self):
         rho0 = fock_density(StateSpec("thermal", mbar=0.4), 20)
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ import pytest
 from phasebath import (
     BathParams,
     FockDensityMatrix,
-    PhaseSpaceGrid,
     StateSpec,
     characteristic_function,
     evolve_p_closed_form,
@@ -31,15 +30,14 @@ def q_at(desc, alpha: complex) -> float:
     return float(grid.values[0, 0])
 
 
+#: a square window of 41 points a side on [-4, 4]
+AXIS = np.linspace(-4.0, 4.0, 41)
+
+
 def evolved_example(family: str) -> FockDensityMatrix:
     """The family's catalog example after Gamma = 1, nbar = 0.5, t = 0.3, at cutoff 30."""
     spec = parse_state_spec({"family": family, **FAMILY_TABLE[family].example})
     return integrate(fock_density(spec, 30), BathParams(gamma=1.0, nbar=0.5), [0.3])[0]
-
-
-def square_grid(half: float, n: int) -> PhaseSpaceGrid:
-    x = np.linspace(-half, half, n)
-    return PhaseSpaceGrid(x, x, np.zeros((n, n)), {})
 
 
 class TestCharacteristicFunction:
@@ -196,7 +194,7 @@ class TestSmoothing:
 class TestWigner:
     def test_vacuum(self):
         vac = FockDensityMatrix.from_array(np.diag([1.0] + [0.0] * 29))
-        grid = wigner_from_characteristic(vac, square_grid(4.0, 41))
+        grid = wigner_from_characteristic(vac, AXIS, AXIS)
         x = grid.x_axis
         expected = (2.0 / math.pi) * np.exp(
             -2.0 * (x[:, None] ** 2 + x[None, :] ** 2)
@@ -205,7 +203,7 @@ class TestWigner:
 
     def test_one_quantum_negative_at_origin(self):
         one = FockDensityMatrix.from_array(np.diag([0.0, 1.0] + [0.0] * 28))
-        grid = wigner_from_characteristic(one, square_grid(4.0, 41))
+        grid = wigner_from_characteristic(one, AXIS, AXIS)
         center = grid.values[20, 20]
         assert center == pytest.approx(-2.0 / math.pi, abs=1e-9)
         assert grid.mass() == pytest.approx(1.0, abs=1e-4)
@@ -213,7 +211,7 @@ class TestWigner:
     def test_coherent_displaced_gaussian(self):
         beta = 1.0 + 0.5j
         rho = fock_density(StateSpec("coherent", beta=beta), 40)
-        grid = wigner_from_characteristic(rho, square_grid(4.0, 41))
+        grid = wigner_from_characteristic(rho, AXIS, AXIS)
         X, Y = grid.meshgrid()
         expected = (2.0 / math.pi) * np.exp(
             -2.0 * ((X - beta.real) ** 2 + (Y - beta.imag) ** 2)
@@ -224,7 +222,8 @@ class TestWigner:
         # Marginal spreads reflect the squeezed and stretched quadratures.
         s = 2.0
         rho = fock_density(StateSpec("squeezed-coherent", beta=0.0, squeeze=s), 40)
-        grid = wigner_from_characteristic(rho, square_grid(4.0, 61))
+        axis = np.linspace(-4.0, 4.0, 61)
+        grid = wigner_from_characteristic(rho, axis, axis)
         X, Y = grid.meshgrid()
         dx = grid.x_axis[1] - grid.x_axis[0]
         var_x = float(np.sum(X**2 * grid.values)) * dx * dx
@@ -241,7 +240,7 @@ class TestWigner:
         embedded = np.zeros((150, 150), dtype=complex)
         embedded[:30, :30] = rho.elements
         axis = np.array([-0.8, -0.1, 0.6])
-        grid = wigner_from_characteristic(rho, PhaseSpaceGrid(axis, axis, np.zeros((3, 3)), {}))
+        grid = wigner_from_characteristic(rho, axis, axis)
         signs = (-1.0) ** np.arange(150)
         for i in range(3):
             for j in range(3):  # |alpha| <= 1.14

@@ -19,6 +19,7 @@ from phasebath import (
 )
 from phasebath.descriptors import GaussianP, normal_moments, singular_part
 from phasebath.fock import annihilation
+from phasebath.states import MomentSet
 
 SAMPLE_SPECS = [
     StateSpec("coherent", beta=1.2 + 0.7j),
@@ -116,6 +117,24 @@ class TestInitialMoments:
             a = annihilation(cutoff)
             expected = np.trace(fock_density(case, cutoff).elements @ a @ a)
             assert abs(normal_moments(initial_p_function(case))[3] - expected) < 1e-7, case
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"mean_n": -1e-6}, "photon-number moments must be nonnegative"),
+            ({"second_factorial": -1e-6}, "photon-number moments must be nonnegative"),
+            ({"var_x": -0.25, "var_y": -0.25}, "quadrature variances must be positive"),
+            ({"var_x": 0.2}, "uncertainty product below the quantum floor"),
+        ],
+        ids=["mean-n", "second-factorial", "variances", "uncertainty"],
+    )
+    def test_moment_set_refuses_unphysical_moments(self, fields, message):
+        # Each set changes the vacuum's moments so that one check alone fails.
+        vacuum = {"mean_a": 0j, "mean_n": 0.0, "second_factorial": 0.0, "var_x": 0.25, "var_y": 0.25,
+                  "a_squared": 0j}
+        MomentSet(**vacuum)
+        with pytest.raises(ValueError, match=message):
+            MomentSet(**{**vacuum, **fields})
 
     def test_added_photon_thermal_mean(self):
         m = initial_moments(StateSpec("photon-added-thermal", mbar=1.0))
